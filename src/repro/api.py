@@ -105,9 +105,10 @@ class AnalysisRequest:
     #: times) — the steady-state filter of ``TokenBusConfig.stats_after``
     stats_after: int = 0
     #: analysis mode override (``generic``/``fast``/``vectorized``);
-    #: ``None`` = the serving process's default.  All modes answer
-    #: bit-identically (the PERF.md contract) — the knob exists for
-    #: benchmarking and cross-checking through the same transport.
+    #: ``None`` = the caller's current mode (``fast`` by default).  All
+    #: modes answer bit-identically (the PERF.md contract) — the knob
+    #: exists for benchmarking and cross-checking through the same
+    #: transport.
     mode: Optional[str] = None
 
     def __post_init__(self) -> None:

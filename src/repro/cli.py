@@ -634,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", default=None,
                        choices=("generic", "fast", "vectorized"),
                        help="analysis mode override; every mode answers "
-                            "bit-identically (default: process default)")
+                            "bit-identically (default: fast)")
 
     p = sub.add_parser("analyse", help="per-stream worst-case response times")
     add_common(p)

@@ -149,6 +149,8 @@ def run_lint(
     ``dump_graph`` writes the deterministic callgraph artifact and
     forces graph construction even under ``flow=False``.
     """
+    if update_baseline and baseline is None:
+        raise LintUsageError("--update-baseline needs --baseline FILE")
     if rule_ids is not None:
         known = set(ALL_RULES) | set(FLOW_RULES)
         unknown = [r for r in rule_ids if r not in known]
@@ -229,8 +231,6 @@ def run_lint(
             except ValueError as exc:
                 raise LintUsageError(str(exc))
             findings, baselined = baseline_mod.apply_baseline(findings, keys)
-    elif update_baseline:
-        raise LintUsageError("--update-baseline needs --baseline FILE")
 
     return LintResult(findings=findings, files=linted, rules=rules,
                       suppressed=suppressed, baselined=baselined,

@@ -36,7 +36,6 @@ Unknown kinds, unknown keys, and non-integer times are refused with
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -384,12 +383,3 @@ def events_in_order(events: Sequence[BusEvent]) -> bool:
     the monitor's incremental reconstruction assumes (real logs are;
     a shuffled foreign log must be sorted before ingestion)."""
     return all(a.time <= b.time for a, b in zip(events, events[1:]))
-
-
-def csv_template() -> str:
-    """A one-row example of the external CSV shape (for docs/tests)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_EVENT_KEYS)
-    writer.writerow([0, "release", "M1", "axis", 1, 0])
-    return buf.getvalue()

@@ -5,9 +5,10 @@ fixed-point iterations, and the experiment drivers evaluate thousands of
 generated networks/tasksets.  This subpackage makes that layer fast
 without changing a single reported number:
 
-* :mod:`repro.perf.config` — a global fast-path switch so benchmarks and
-  property tests can compare the specialised kernels against the generic
-  exact path on identical inputs;
+* :mod:`repro.perf.config` — the scoped analysis mode
+  (``with analysis_mode_set(mode)``) so benchmarks and property tests
+  can compare the specialised kernels against the generic exact path on
+  identical inputs;
 * :mod:`repro.perf.kernels` — monomorphic integer fixed-point kernels
   (all-``int`` tasksets take these automatically; results are
   bit-identical to the generic :func:`repro.core.timeops.fixed_point`
@@ -21,11 +22,11 @@ without changing a single reported number:
   machine-readable ``BENCH_*.json`` throughput artefacts.
 
 Submodules are imported lazily: the core analyses import
-``repro.perf.config`` for the fast-path switch, while ``batch``/``bench``
+``repro.perf.config`` for the analysis mode, while ``batch``/``bench``
 import the analyses — eager re-exports here would make that a cycle.
 """
 
-from .config import fast_path_disabled, fast_path_enabled, set_fast_path
+from .config import fast_path_enabled
 
 __all__ = [
     "BatchResult",
@@ -36,9 +37,7 @@ __all__ = [
     "pooled_map",
     "run_benchmark",
     "write_benchmark",
-    "fast_path_disabled",
     "fast_path_enabled",
-    "set_fast_path",
 ]
 
 _LAZY = {

@@ -47,12 +47,7 @@ from ..profibus.timing import tcycle as compute_tcycle
 from ..profibus.timing import tdel
 from ..profibus.ttr import analyse
 from . import kernels
-from .config import (
-    analysis_mode,
-    analysis_mode_set,
-    fast_path_enabled,
-    set_analysis_mode,
-)
+from .config import analysis_mode, analysis_mode_set, fast_path_enabled
 from .stats import counters
 
 DEFAULT_POLICIES: Tuple[str, ...] = ("fcfs", "dm", "edf")
@@ -159,9 +154,9 @@ def _pooled_chunk(
     one combined number into a single parent bucket used to credit those
     iterations to the wrong path."""
     fn, items, mode = payload
-    set_analysis_mode(mode)
-    counters.reset()
-    results = [fn(item) for item in items]
+    with analysis_mode_set(mode):
+        counters.reset()
+        results = [fn(item) for item in items]
     return results, counters.fast, counters.generic, counters.vectorized
 
 
@@ -302,7 +297,7 @@ def analyse_many(
 
     ``workers=None`` uses ``os.cpu_count()``; ``workers<=1`` (or a grid
     too small to amortise a pool) runs serial in-process.  ``mode``
-    overrides the process-wide analysis mode for this call
+    overrides the current analysis mode for this call
     (``generic``/``fast``/``vectorized``); under ``vectorized`` the grid
     runs through the SoA batch kernels of :mod:`repro.perf.vector` —
     same results bit for bit, whole slabs per instruction stream.

@@ -1,4 +1,4 @@
-"""Global analysis-mode selection (generic / fast / vectorized).
+"""Scoped analysis-mode selection (generic / fast / vectorized).
 
 Three modes drive the same analyses to bit-identical values:
 
@@ -8,7 +8,7 @@ Three modes drive the same analyses to bit-identical values:
 ``fast``
     The monomorphic all-int kernels of :mod:`repro.perf.kernels` plus
     the instance-keyed caches.  Bit-identical to ``generic``
-    (property-tested), so **on by default**.
+    (property-tested), so **the default**.
 ``vectorized``
     The structure-of-arrays batch kernels of
     :mod:`repro.perf.vector`: whole batches of networks advance their
@@ -17,67 +17,44 @@ Three modes drive the same analyses to bit-identical values:
     kernels — the vector engine engages at the batch drivers
     (:func:`repro.perf.batch.analyse_many`).
 
-The switch exists for three consumers: the benchmark driver (measures
-every mode on the same workload), the property tests / fuzz oracle /
-corpus check (assert cross-mode bit-equality), and the API ``mode``
-request field.
-
-Environment overrides: ``REPRO_DISABLE_FASTPATH`` (any non-empty value)
-forces ``generic`` process-wide — handy for bisecting a suspected
-fast-path discrepancy without touching code.  ``REPRO_ANALYSIS_MODE``
-picks any of the three modes by name (``REPRO_DISABLE_FASTPATH``
-wins).  ``REPRO_DISABLE_NUMPY`` is honoured by
+The mode lives in a :class:`contextvars.ContextVar`, so a selection is
+scoped to the thread (or asyncio task) that makes it: concurrent API
+requests and daemon executor threads each see their own mode, and no
+scope can leak its mode into another.  :func:`analysis_mode_set` is the
+only writer; :func:`analysis_mode` and :func:`fast_path_enabled` are the
+readers.  Pool worker processes receive the mode in their chunk payload
+(:mod:`repro.perf.batch`).  ``REPRO_DISABLE_NUMPY`` is honoured by
 :mod:`repro.perf.vector` and forces its pure-python backend.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 #: The recognised analysis modes, in baseline-first order.
 ANALYSIS_MODES = ("generic", "fast", "vectorized")
 
-
-def _initial_mode() -> str:
-    if os.environ.get("REPRO_DISABLE_FASTPATH"):
-        return "generic"
-    env = os.environ.get("REPRO_ANALYSIS_MODE", "")
-    if env in ANALYSIS_MODES:
-        return env
-    return "fast"
-
-
-_mode: str = _initial_mode()
+_mode: ContextVar[str] = ContextVar("analysis_mode", default="fast")
 
 
 def analysis_mode() -> str:
     """The active analysis mode (``generic``/``fast``/``vectorized``)."""
-    return _mode
-
-
-def set_analysis_mode(mode: str) -> str:
-    """Select the analysis mode; returns the previous mode."""
-    if mode not in ANALYSIS_MODES:
-        raise ValueError(
-            f"unknown analysis mode {mode!r} (expected one of {ANALYSIS_MODES})"
-        )
-    global _mode
-    previous = _mode
-    # lint: disable=REP011 — this *is* the mode-switch API; callers on
-    # determinism-critical paths save/restore via analysis_mode_set()
-    _mode = mode
-    return previous
+    return _mode.get()
 
 
 @contextmanager
 def analysis_mode_set(mode: str):
     """Run a block under ``mode``, restoring the previous mode after."""
-    previous = set_analysis_mode(mode)
+    if mode not in ANALYSIS_MODES:
+        raise ValueError(
+            f"unknown analysis mode {mode!r} (expected one of {ANALYSIS_MODES})"
+        )
+    token = _mode.set(mode)
     try:
         yield
     finally:
-        set_analysis_mode(previous)
+        _mode.reset(token)
 
 
 def fast_path_enabled() -> bool:
@@ -87,27 +64,4 @@ def fast_path_enabled() -> bool:
     fast scalar kernels wherever the vector engine does not apply
     (single-network entry points, unpackable networks).
     """
-    return _mode != "generic"
-
-
-def set_fast_path(enabled: bool) -> bool:
-    """Enable/disable the fast paths; returns the previous setting.
-
-    Boolean view of the mode switch, kept for the established
-    callers/tests: ``True`` selects ``fast``, ``False`` selects
-    ``generic``.  Code that must preserve a ``vectorized`` selection
-    across a scope should use :func:`set_analysis_mode` /
-    :func:`analysis_mode_set` instead.
-    """
-    previous = set_analysis_mode("fast" if enabled else "generic")
-    return previous != "generic"
-
-
-@contextmanager
-def fast_path_disabled():
-    """Run a block on the generic exact path (baseline measurement)."""
-    previous = set_analysis_mode("generic")
-    try:
-        yield
-    finally:
-        set_analysis_mode(previous)
+    return _mode.get() != "generic"

@@ -142,11 +142,6 @@ def _load_numpy():
     return _numpy
 
 
-def numpy_available() -> bool:
-    """Is the numpy backend active (importable and not disabled)?"""
-    return backend_name() == "numpy"
-
-
 def numpy_version() -> Optional[str]:
     """The numpy version string the vector engine would use, else None."""
     np = _load_numpy()

@@ -182,7 +182,3 @@ def simulate_uniproc(
         if rt <= horizon:
             stats.note_pending(taskset[idx].name, horizon - notional)
     return stats
-
-
-def max_response_or_zero(stats: UniprocStats, name: str) -> int:
-    return stats.max_response.get(name, 0)

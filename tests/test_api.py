@@ -2,12 +2,15 @@
 cache under it."""
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro import api
 from repro.api import AnalysisRequest, AnalysisResult, ApiError
 from repro.perf.cache import ResultCache
+from repro.perf.config import analysis_mode
 from repro.profibus import analyse, network_to_dict
 from repro.scenarios import factory_cell_network
 
@@ -244,3 +247,45 @@ class TestExecuteRequestDoc:
     def test_result_doc_json_stable(self):
         doc = api.execute_request_doc(_analyse_request().to_dict())
         assert json.loads(json.dumps(doc)) == doc
+
+
+class TestConcurrentModes:
+    """Concurrent requests with different ``mode`` overrides must not
+    see each other's mode, nor change the default mode of any thread."""
+
+    MODES = ("generic", "vectorized", "generic", "fast")
+
+    def test_mixed_mode_threads_match_serial_and_keep_default(self):
+        docs = [
+            _analyse_request(policy=policy, ttr=ttr, mode=mode).to_dict()
+            for mode in sorted(set(self.MODES))
+            for policy in ("fcfs", "dm", "edf")
+            for ttr in (None, 50_000)
+        ]
+        expected = [api.execute_request_doc(doc) for doc in docs]
+        errors = []
+
+        def run(mode):
+            mine = [i for i, doc in enumerate(docs) if doc["mode"] == mode]
+            try:
+                for n in range(200):
+                    i = mine[n % len(mine)]
+                    assert api.execute_request_doc(docs[i]) == expected[i]
+                    # no other thread's override may show through here
+                    assert analysis_mode() == "fast"
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append((mode, exc))
+
+        threads = [threading.Thread(target=run, args=(mode,))
+                   for mode in self.MODES]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert analysis_mode() == "fast"

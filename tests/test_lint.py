@@ -19,6 +19,8 @@ The interprocedural flow layer (REP010–REP013) has its own suite in
 rule catalogue and the fixture kill matrix.
 """
 
+import contextlib
+import io
 import json
 import textwrap
 from pathlib import Path
@@ -29,6 +31,7 @@ from repro.cli import main as cli_main
 from repro.lint import (
     ALL_RULES,
     FLOW_RULES,
+    LintEngine,
     LintUsageError,
     render_json,
     render_text,
@@ -82,8 +85,24 @@ def test_fixture_kill_count_is_total():
 
 # ------------------------------------------------------ shipped tree clean
 
-def test_shipped_tree_is_lint_clean():
-    result = run_lint([SRC])
+@pytest.fixture(scope="session")
+def shipped_lint():
+    """One lint of the whole shipped tree, shared by every test that
+    only reads its result."""
+    return run_lint([SRC])
+
+
+@pytest.fixture(scope="session")
+def shipped_cli_json():
+    """One ``repro-cli lint src --format json`` run: (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["lint", str(SRC), "--format", "json"])
+    return code, out.getvalue()
+
+
+def test_shipped_tree_is_lint_clean(shipped_lint):
+    result = shipped_lint
     assert result.findings == [], (
         "committed tree must lint clean; fix the violation or record "
         "an inline '# lint: disable=REPxxx — <reason>':\n"
@@ -95,17 +114,17 @@ def test_shipped_tree_is_lint_clean():
     assert result.suppressed > 0
 
 
-def test_shipped_tree_lints_every_module():
+def test_shipped_tree_lints_every_module(shipped_lint):
     n_modules = len(list(SRC.rglob("*.py")))
-    assert run_lint([SRC]).files == n_modules
+    assert shipped_lint.files == n_modules
 
 
 # ----------------------------------------------------------- CLI contract
 
-def test_cli_exit_zero_on_clean_tree(capsys):
-    assert cli_main(["lint", str(SRC)]) == 0
-    out = capsys.readouterr().out
-    assert "0 finding(s)" in out
+def test_cli_exit_zero_on_clean_tree(shipped_cli_json):
+    code, out = shipped_cli_json
+    assert code == 0
+    assert "0 finding(s)" in render_text(json.loads(out))
 
 
 def test_cli_exit_one_on_findings(capsys):
@@ -126,7 +145,13 @@ def test_cli_exit_two_on_missing_path(capsys):
     assert "no such file" in capsys.readouterr().err
 
 
-def test_cli_exit_two_on_update_baseline_without_baseline(capsys):
+def test_cli_exit_two_on_update_baseline_without_baseline(capsys,
+                                                           monkeypatch):
+    # the usage error must come before any linting work
+    def no_linting(*args, **kwargs):
+        raise AssertionError("linted before validating the arguments")
+
+    monkeypatch.setattr(LintEngine, "lint_file", no_linting)
     assert cli_main(["lint", str(SRC), "--update-baseline"]) == 2
     assert "--baseline" in capsys.readouterr().err
 
@@ -159,9 +184,10 @@ def test_cli_json_document_shape(capsys):
     assert keys == sorted(keys)
 
 
-def test_cli_json_clean_tree_is_ok_document(capsys):
-    assert cli_main(["lint", str(SRC), "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+def test_cli_json_clean_tree_is_ok_document(shipped_cli_json):
+    code, out = shipped_cli_json
+    assert code == 0
+    doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["findings"] == []
     assert doc["counts"]["suppressed"] > 0

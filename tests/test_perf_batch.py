@@ -19,7 +19,7 @@ from repro.perf.batch import (
     pooled_map,
 )
 from repro.perf.bench import SCHEMA, format_report, run_benchmark, write_benchmark
-from repro.perf.config import fast_path_disabled
+from repro.perf.config import analysis_mode_set
 from repro.profibus import analyse, tdel
 
 
@@ -45,7 +45,7 @@ class TestAnalyseMany:
 
     def test_fast_and_generic_rows_identical(self):
         fast_rows = analyse_many(small_workload(), workers=1)
-        with fast_path_disabled():
+        with analysis_mode_set("generic"):
             generic_rows = analyse_many(small_workload(), workers=1)
         assert fast_rows == generic_rows
 
@@ -62,7 +62,7 @@ class TestAnalyseMany:
         assert serial == parallel
 
     def test_parallel_generic_matches_serial(self):
-        with fast_path_disabled():
+        with analysis_mode_set("generic"):
             serial = analyse_many(small_workload(n=8), workers=1)
             parallel = analyse_many(
                 small_workload(n=8), workers=2, chunksize=2

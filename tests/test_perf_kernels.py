@@ -15,6 +15,7 @@ would let the second run trivially read the first run's answers.
 
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -38,9 +39,9 @@ from repro.core.rta_fixed import (
 from repro.core.timeops import fixed_point, fixed_point_int
 from repro.perf import kernels
 from repro.perf.config import (
-    fast_path_disabled,
+    analysis_mode,
+    analysis_mode_set,
     fast_path_enabled,
-    set_fast_path,
 )
 
 
@@ -104,7 +105,7 @@ class TestFixedPriorityEquality:
                 lambda ts: nonpreemptive_rta(ts, strict_start=False),
             ):
                 fast = fn(dm_fast)
-                with fast_path_disabled():
+                with analysis_mode_set("generic"):
                     slow = fn(dm_slow)
                 assert rt_values(fast) == rt_values(slow), (case, specs)
                 assert fast.schedulable == slow.schedulable
@@ -119,7 +120,7 @@ class TestFixedPriorityEquality:
                 fast = preemptive_response_time_arbitrary(
                     dm_fast, dm_fast[task_idx]
                 )
-                with fast_path_disabled():
+                with analysis_mode_set("generic"):
                     slow = preemptive_response_time_arbitrary(
                         dm_slow, dm_slow[task_idx]
                     )
@@ -136,7 +137,7 @@ class TestFixedPriorityEquality:
                     fast = nonpreemptive_start_time(
                         dm_fast, dm_fast[task_idx], strict_start=strict
                     )
-                    with fast_path_disabled():
+                    with analysis_mode_set("generic"):
                         slow = nonpreemptive_start_time(
                             dm_slow, dm_slow[task_idx], strict_start=strict
                         )
@@ -158,7 +159,7 @@ class TestEdfEquality:
             ts_fast, ts_slow = build(specs), build(specs)
             for preemptive in (True, False):
                 fast = edf_rta(ts_fast, preemptive=preemptive)
-                with fast_path_disabled():
+                with analysis_mode_set("generic"):
                     slow = edf_rta(ts_slow, preemptive=preemptive)
                 assert rt_values(fast) == rt_values(slow), (
                     case, specs, preemptive,
@@ -175,7 +176,7 @@ class TestEdfEquality:
                         ts_fast, ts_fast[idx], preemptive=False,
                         blocking_subtract_one=subtract_one,
                     )
-                    with fast_path_disabled():
+                    with analysis_mode_set("generic"):
                         slow = edf_response_time(
                             ts_slow, ts_slow[idx], preemptive=False,
                             blocking_subtract_one=subtract_one,
@@ -198,12 +199,13 @@ class TestBusyPeriodEquality:
                         ts_fast, include_jitter=jitter, blocking=blocking
                     )
                 except ValueError:
-                    with fast_path_disabled(), pytest.raises(ValueError):
+                    with analysis_mode_set("generic"), \
+                            pytest.raises(ValueError):
                         synchronous_busy_period(
                             ts_slow, include_jitter=jitter, blocking=blocking
                         )
                     continue
-                with fast_path_disabled():
+                with analysis_mode_set("generic"):
                     slow = synchronous_busy_period(
                         ts_slow, include_jitter=jitter, blocking=blocking
                     )
@@ -236,7 +238,7 @@ class TestNetworkEquality:
 
             for policy in ("fcfs", "dm", "edf"):
                 fast = analyse(make(), policy)
-                with fast_path_disabled():
+                with analysis_mode_set("generic"):
                     slow = analyse(make(), policy)
                 assert [
                     (sr.R, sr.Q, sr.critical_a) for sr in fast.per_stream
@@ -272,7 +274,7 @@ class TestNetworkEquality:
 
             for policy in ("dm", "edf"):
                 fast = analyse(make(), policy)
-                with fast_path_disabled():
+                with analysis_mode_set("generic"):
                     slow = analyse(make(), policy)
                 assert [sr.R for sr in fast.per_stream] == [
                     sr.R for sr in slow.per_stream
@@ -342,15 +344,27 @@ class TestKernelPrimitives:
 class TestConfigToggle:
     def test_context_manager_restores(self):
         assert fast_path_enabled()
-        with fast_path_disabled():
+        with analysis_mode_set("generic"):
             assert not fast_path_enabled()
-            with fast_path_disabled():
+            with analysis_mode_set("generic"):
                 assert not fast_path_enabled()
             assert not fast_path_enabled()
         assert fast_path_enabled()
 
-    def test_set_returns_previous(self):
-        prev = set_fast_path(False)
-        assert prev is True
-        assert set_fast_path(True) is False
-        assert fast_path_enabled()
+    def test_unknown_mode_is_rejected_and_changes_nothing(self):
+        with pytest.raises(ValueError, match="unknown analysis mode"):
+            with analysis_mode_set("turbo"):
+                pass
+        assert analysis_mode() == "fast"
+
+    def test_mode_is_scoped_to_its_thread(self):
+        seen = []
+        with analysis_mode_set("generic"):
+            worker = threading.Thread(
+                target=lambda: seen.append(analysis_mode())
+            )
+            worker.start()
+            worker.join()
+            assert analysis_mode() == "generic"
+        assert seen == ["fast"]
+        assert analysis_mode() == "fast"

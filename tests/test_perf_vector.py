@@ -232,12 +232,12 @@ class TestThreeModeEquality:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_response_rows_match_generic(self, backend):
-        from repro.perf.config import fast_path_disabled
+        from repro.perf.config import analysis_mode_set
         from repro.profibus.ttr import analyse
 
         for net in _mixed_workload(10, seed="rows"):
             for policy in POLICIES:
-                with fast_path_disabled():
+                with analysis_mode_set("generic"):
                     res = analyse(net, policy)
                 want = {
                     "tcycle": res.tcycle,

@@ -5,11 +5,13 @@ statistics and graceful shutdown."""
 import asyncio
 import json
 import socket
+import sys
 import threading
 
 import pytest
 
 from repro import api
+from repro.perf.config import analysis_mode
 from repro.profibus import network_to_dict
 from repro.scenarios import factory_cell_network
 from repro.service import (
@@ -225,6 +227,67 @@ class TestConcurrentClients:
             with srv.client() as c2:
                 reply = c2.analyse(respelled)  # ...same value key
         assert reply.cached is True
+
+
+class TestConcurrentModes:
+    """Requests carrying different ``mode`` overrides run side by side
+    on the daemon's thread executor; no override may leak into another
+    request or into the serving process."""
+
+    MODES = ("generic", "vectorized", "generic", "fast")
+    PER_CLIENT = 40
+
+    def _docs(self, k, mode):
+        # distinct ttr per request: every request is a cache miss
+        return [
+            api.AnalysisRequest(
+                op="analyse", network=network_to_dict(factory_cell_network()),
+                policy=("fcfs", "dm", "edf")[n % 3],
+                ttr=40_000 + 100 * (k * self.PER_CLIENT + n), mode=mode,
+            ).to_dict()
+            for n in range(self.PER_CLIENT)
+        ]
+
+    def test_mixed_mode_clients_match_offline_and_keep_default(self):
+        plans = [self._docs(k, mode) for k, mode in enumerate(self.MODES)]
+        expected = [[api.execute_request_doc(d) for d in docs]
+                    for docs in plans]
+        errors = []
+
+        with ServerThread(workers=1) as srv:
+            def run_client(k):
+                try:
+                    with srv.client() as c:
+                        for doc, want in zip(plans[k], expected[k]):
+                            reply = c.analyse(doc)
+                            assert reply.cached is False
+                            assert reply.result == want
+                            assert analysis_mode() == "fast"
+                except Exception as exc:  # pragma: no cover - surfaced below
+                    errors.append((k, exc))
+
+            threads = [threading.Thread(target=run_client, args=(k,))
+                       for k in range(len(self.MODES))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the threads finely
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+
+            async def executor_mode():
+                loop = asyncio.get_running_loop()
+                return await loop.run_in_executor(None, analysis_mode)
+
+            daemon_default = asyncio.run_coroutine_threadsafe(
+                executor_mode(), srv.loop).result(timeout=10)
+
+        assert not errors, errors
+        assert daemon_default == "fast"
+        assert analysis_mode() == "fast"
 
 
 # ---------------------------------------------------------------------------
