@@ -490,13 +490,12 @@ def _compute_monitor(request: AnalysisRequest, net: Network,
 
     try:
         ingested = trace_from_doc(request.trace)
-    except TraceFormatError as exc:
-        raise ApiError(f"bad trace document: {exc}") from exc
-    try:
         report = monitor_engine.monitor_trace(
             net, ingested, request.policy,
             refined=request.refined, stats_after=request.stats_after,
         )
+    except TraceFormatError as exc:
+        raise ApiError(f"bad trace document: {exc}") from exc
     except ValueError as exc:
         raise ApiError(str(exc)) from exc
     payload = {

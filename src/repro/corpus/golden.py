@@ -16,7 +16,7 @@ Sections:
     :func:`repro.profibus.ttr.analyse`, evaluated on the fast kernel
     path, the generic exact path **and** the structure-of-arrays vector
     kernels (:func:`repro.perf.vector.response_rows` — whichever
-    backend is active, numpy or the pure-python fallback; the frozen
+    backend is active, numpy or the scalar no-numpy path; the frozen
     values are backend-independent by the bit-equality contract), at
     the entry's own TTR and at a probe TTR (``config["ttr_probe"]``) —
     the probe re-analyses the *same* master objects at a second

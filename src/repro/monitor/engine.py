@@ -25,7 +25,11 @@ monitor-smoke job asserts exactly that.  Evidence problems do not crash
 the monitor, they *degrade* it: a truncated trace or a cycle end that
 cannot be paired with a release turns would-be ``sound`` rows into
 ``degraded`` ones (observed violations stay ``unsound`` — conclusive no
-matter what was dropped).
+matter what was dropped).  A log that goes back in time is not damaged
+evidence but a malformed one: the FIFO pairing would read it as
+impossible responses, so :meth:`TraceMonitor.feed` refuses it with a
+:class:`~repro.monitor.trace_io.TraceFormatError` (equal timestamps are
+legal).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from ..sim.token import stream_key
 from ..sim.trace import CYCLE_END, CYCLE_START, RELEASE, TOKEN_ARRIVAL, BusEvent
 from ..sim.validate import ValidationRow
 from .report import MonitorReport, master_verdict
-from .trace_io import IngestedTrace
+from .trace_io import IngestedTrace, TraceFormatError
 
 
 class _ObservedStream:
@@ -120,7 +124,15 @@ class TraceMonitor:
     # ------------------------------------------------------------- feeding
 
     def feed(self, event: BusEvent) -> None:
-        """Ingest one event (events must arrive in time order)."""
+        """Ingest one event.  Events must arrive in time order: one
+        earlier than its predecessor raises :class:`TraceFormatError`."""
+        last = self._last_time
+        if last is not None and event.time < last:
+            raise TraceFormatError(
+                f"event {self._events + 1} at t={event.time} is earlier "
+                f"than the previous event at t={last}; the trace must be "
+                "in time order"
+            )
         self._events += 1
         self._last_time = event.time
         if event.kind == TOKEN_ARRIVAL:

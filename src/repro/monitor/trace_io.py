@@ -39,7 +39,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Union
+from typing import Any, Dict, Iterable, List, Optional, TextIO, Union
 
 from ..schemas import TRACE_SCHEMA
 from ..sim.trace import EVENT_KINDS, BusEvent, BusTrace
@@ -376,10 +376,3 @@ def read_trace(
     if fmt == "csv":
         return _read_csv(lines)
     return _read_jsonl(lines)
-
-
-def events_in_order(events: Sequence[BusEvent]) -> bool:
-    """True when the event stream is non-decreasing in time — the order
-    the monitor's incremental reconstruction assumes (real logs are;
-    a shuffled foreign log must be sorted before ingestion)."""
-    return all(a.time <= b.time for a, b in zip(events, events[1:]))

@@ -65,12 +65,12 @@ class BatchResult:
     tcycle: int
 
 
-def _fold_responses(index, policy, tcycle, pairs) -> BatchResult:
-    """Fold ``(response, deadline)`` pairs into one BatchResult — the
-    single definition of schedulable / worst_response / worst_slack used
-    by both the kernel summary and the full-analysis path (so the
-    bench's fast/generic consistency check compares real work, not two
-    folds that could drift apart)."""
+def fold_pairs(pairs) -> Tuple[bool, Optional[int], Optional[int]]:
+    """Fold ``(response, deadline)`` pairs into ``(schedulable,
+    worst_response, worst_slack)`` — the single definition used by the
+    kernel summary, the full-analysis path and the vector engine's
+    scalar-kernel summaries (so the bench's cross-mode consistency
+    check compares real work, not folds that could drift apart)."""
     schedulable = True
     worst_r: Optional[int] = None
     worst_slack: Optional[int] = None
@@ -85,14 +85,7 @@ def _fold_responses(index, policy, tcycle, pairs) -> BatchResult:
         slack = d - r
         if worst_slack is None or slack < worst_slack:
             worst_slack = slack
-    return BatchResult(
-        index=index,
-        policy=policy,
-        schedulable=schedulable,
-        worst_response=worst_r,
-        worst_slack=worst_slack if schedulable else None,
-        tcycle=tcycle,
-    )
+    return schedulable, worst_r, worst_slack if schedulable else None
 
 
 def _fast_summary(index: int, network: Network,
@@ -129,7 +122,7 @@ def _fast_summary(index: int, network: Network,
         else:
             return None
         pairs.extend((r, d) for (_t, d, _j), r in zip(specs, values))
-    return _fold_responses(index, policy, tc, pairs)
+    return BatchResult(index, policy, *fold_pairs(pairs), tc)
 
 
 def _analyse_one(index: int, network: Network, policy: str) -> BatchResult:
@@ -138,9 +131,10 @@ def _analyse_one(index: int, network: Network, policy: str) -> BatchResult:
         if summary is not None:
             return summary
     res = analyse(network, policy)
-    return _fold_responses(
-        index, policy, res.tcycle,
-        ((sr.R, sr.stream.D) for sr in res.per_stream),
+    return BatchResult(
+        index, policy,
+        *fold_pairs((sr.R, sr.stream.D) for sr in res.per_stream),
+        res.tcycle,
     )
 
 

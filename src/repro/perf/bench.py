@@ -9,11 +9,10 @@ Measures the same workload once per analysis mode on one machine:
   (:mod:`repro.perf.vector`): the whole workload packed once and every
   fixed-point recurrence advanced across all networks per instruction
   stream.  The ``vector_backend`` field records whether numpy carried
-  the arrays or the pure-python fallback did;
+  the arrays or the packs ran the scalar kernels;
 * ``fast_parallel`` / ``vectorized_parallel`` — the same through
-  :func:`repro.perf.batch.analyse_many` with a process pool (skipped
-  when only one worker is requested — that would measure pool overhead,
-  not parallelism).
+  :func:`repro.perf.batch.analyse_many` with a process pool (``null``
+  when only one worker is requested — there is no pool to measure).
 
 Workloads are regenerated (same seed → value-equal, fresh instances)
 for every timed run, so the instance-keyed analysis memos never carry
@@ -168,13 +167,10 @@ def run_benchmark(
         if m in serial:
             mode_rows[f"{m}_serial"] = _mode(serial[m], False)
     for m, run in pooled.items():
-        if run is not None:
-            mode_rows[f"{m}_parallel"] = dict(_mode(run, True),
-                                              workers=workers)
-        else:
-            # One worker: the parallel driver degenerates to the serial one.
-            mode_rows[f"{m}_parallel"] = dict(mode_rows[f"{m}_serial"],
-                                              workers=1)
+        # One worker measures no pool: the row stays, recorded as null.
+        mode_rows[f"{m}_parallel"] = (
+            None if run is None else dict(_mode(run, True), workers=workers)
+        )
 
     sample = next(iter(serial.values()))
     schedulable = sum(1 for r in sample.rows if r.schedulable)
@@ -222,6 +218,9 @@ def format_report(report: dict) -> List[str]:
         f"seed {wl['seed']}; vector backend: {backend}, {numpy_note})",
     ]
     for name, mode in report["modes"].items():
+        if mode is None:
+            lines.append(f"  {name:<19} {'-':>10}  (not run: one worker)")
+            continue
         speed = mode["analyses_per_sec"]
         extra = ""
         if "speedup_vs_generic" in mode:

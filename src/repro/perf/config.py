@@ -15,7 +15,8 @@ Three modes drive the same analyses to bit-identical values:
     fixed-point recurrences together, one instruction stream per sweep.
     Scalar (non-batch) entry points under this mode use the fast
     kernels — the vector engine engages at the batch drivers
-    (:func:`repro.perf.batch.analyse_many`).
+    (:func:`repro.perf.batch.analyse_many`).  Without numpy the packed
+    batches run the fast kernels too (the lane engine needs numpy).
 
 The mode lives in a :class:`contextvars.ContextVar`, so a selection is
 scoped to the thread (or asyncio task) that makes it: concurrent API
@@ -24,7 +25,8 @@ scope can leak its mode into another.  :func:`analysis_mode_set` is the
 only writer; :func:`analysis_mode` and :func:`fast_path_enabled` are the
 readers.  Pool worker processes receive the mode in their chunk payload
 (:mod:`repro.perf.batch`).  ``REPRO_DISABLE_NUMPY`` is honoured by
-:mod:`repro.perf.vector` and forces its pure-python backend.
+:mod:`repro.perf.vector`: it hides numpy, so packs run the scalar
+kernels.
 """
 
 from __future__ import annotations

@@ -219,6 +219,17 @@ class TestMutationStrength:
                                            "serialization-drops-jitter"])
         assert check_corpus(REPO_CORPUS).ok
 
+    def test_vec_mutant_dies_on_the_scalar_no_numpy_path(self):
+        # numpy-free packs run the scalar kernels over the packed specs,
+        # so a lossy packing seam must still be caught there
+        from repro.perf import vector
+
+        with vector.backend_forced("python"):
+            report = run_mutation_harness(
+                REPO_CORPUS, mutant_names=["vec-int32-truncation"])
+        assert report.ok, "\n".join(report.format_lines())
+        assert report.outcomes[0].killed_by_entry == "probe:wide-values"
+
     def test_unknown_mutant_rejected(self):
         with pytest.raises(ValueError, match="unknown mutant"):
             run_mutation_harness(REPO_CORPUS, mutant_names=["nope"])

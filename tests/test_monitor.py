@@ -512,3 +512,91 @@ class TestMonitorCli:
         with pytest.raises(SystemExit, match="unknown event kind"):
             main(["monitor", "--scenario", "single-master", "--trace",
                   str(bad)])
+
+
+# ----------------------------------------------------------- event order
+
+def _reversed_events(events):
+    return list(events)[::-1]
+
+
+def _swapped_events(events):
+    """The log with its first release and that release's cycle end
+    trading places — one time-disordered pair."""
+    ev = list(events)
+    i = next(k for k, e in enumerate(ev) if e.kind == RELEASE and e.stream)
+    j = next(k for k in range(i + 1, len(ev))
+             if ev[k].kind == CYCLE_END and ev[k].master == ev[i].master
+             and ev[k].stream == ev[i].stream)
+    ev[i], ev[j] = ev[j], ev[i]
+    return ev
+
+
+DISORDERS = [pytest.param(_reversed_events, id="reversed"),
+             pytest.param(_swapped_events, id="one-swap")]
+
+
+class TestEventOrder:
+    """A log that goes back in time is refused with a typed error on
+    every path — never answered with conclusive verdicts (a reversed
+    factory-cell trace used to come back 9/9 ``unsound``)."""
+
+    @pytest.fixture(scope="class")
+    def cell_events(self):
+        from repro.scenarios import factory_cell_network
+
+        _, tracer = _traced_validate(factory_cell_network(), "dm")
+        return list(tracer.events)
+
+    def _write_jsonl(self, tmp_path, events):
+        path = tmp_path / "disordered.jsonl"
+        path.write_text("".join(json.dumps(event_to_doc(e)) + "\n"
+                                for e in events))
+        return path
+
+    @pytest.mark.parametrize("disorder", DISORDERS)
+    def test_engine_refuses(self, factory_cell, cell_events, disorder):
+        mon = TraceMonitor(factory_cell, "dm")
+        with pytest.raises(TraceFormatError, match="time order"):
+            mon.feed_all(disorder(cell_events))
+
+    def test_equal_timestamps_stay_legal(self, single_master):
+        mon = TraceMonitor(single_master, "dm")
+        mon.feed_all([
+            BusEvent(time=5, kind=RELEASE, master="M1", stream="s0"),
+            BusEvent(time=5, kind=TOKEN_ARRIVAL, master="M1", stream=""),
+            BusEvent(time=5, kind=CYCLE_END, master="M1", stream="s0"),
+        ])
+        assert mon.events_seen == 3
+        assert mon.report().row("M1/s0").verdict == "sound"
+
+    @pytest.mark.parametrize("disorder", DISORDERS)
+    def test_api_bad_trace(self, factory_cell, cell_events, disorder):
+        doc = IngestedTrace(events=disorder(cell_events),
+                            horizon=HORIZON).to_doc()
+        with pytest.raises(api.ApiError, match="bad trace document.*order"):
+            api.monitor_check(factory_cell, doc, policy="dm")
+
+    @pytest.mark.parametrize("disorder", DISORDERS)
+    def test_cli_file_mode(self, tmp_path, cell_events, disorder):
+        from repro.cli import main
+
+        path = self._write_jsonl(tmp_path, disorder(cell_events))
+        with pytest.raises(SystemExit, match="bad trace document.*order"):
+            main(["monitor", "--scenario", "factory-cell", "--policy", "dm",
+                  "--trace", str(path)])
+
+    @pytest.mark.parametrize("disorder", DISORDERS)
+    def test_cli_follow_mode(self, tmp_path, monkeypatch, capsys,
+                             cell_events, disorder):
+        import sys as sys_mod
+
+        from repro.cli import main
+
+        path = self._write_jsonl(tmp_path, disorder(cell_events))
+        monkeypatch.setattr(sys_mod, "stdin", io.StringIO(path.read_text()))
+        with pytest.raises(SystemExit, match="time order"):
+            main(["monitor", "--scenario", "factory-cell", "--policy", "dm",
+                  "--follow"])
+        # no snapshot made it out before the refusal
+        assert capsys.readouterr().out == ""

@@ -183,11 +183,14 @@ class TestBenchmark:
         assert report["schema"] == SCHEMA
         assert report["consistent"] is True
         assert report["workload"]["analyses"] == 30
-        for mode in ("generic_serial", "fast_serial", "vectorized_serial",
-                     "fast_parallel", "vectorized_parallel"):
+        for mode in ("generic_serial", "fast_serial", "vectorized_serial"):
             entry = report["modes"][mode]
             assert entry["analyses_per_sec"] > 0
             assert entry["iterations"] > 0
+        # one worker: no pool ran, so the parallel rows are null, not
+        # copies of the serial rows
+        assert report["modes"]["fast_parallel"] is None
+        assert report["modes"]["vectorized_parallel"] is None
         assert report["modes"]["fast_serial"]["speedup_vs_generic"] > 0
         vec = report["modes"]["vectorized_serial"]
         assert vec["speedup_vs_generic"] > 0
@@ -203,6 +206,8 @@ class TestBenchmark:
         lines = format_report(report)
         assert any("fast_serial" in line for line in lines)
         assert any("vectorized_serial" in line for line in lines)
+        assert any("fast_parallel" in line and "not run" in line
+                   for line in lines)
 
     def test_mode_restriction(self):
         report = run_benchmark(n_networks=6, workers=1, rounds=1, seed=3,

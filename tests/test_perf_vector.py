@@ -7,18 +7,17 @@ Three properties carry the module:
   flat arrays read back as the same ``(Tcycle, (T, D, J)…)`` view the
   scalar kernels receive, and anything unrepresentable lands in
   ``fallback`` rather than being coerced;
-* the numpy lane engine's convergence masking (retired lanes compacted
-  out per sweep) must be observationally identical to full-width
-  per-lane iteration — values, convergence flags *and* iteration
-  counts — across thousands of random lane sets in all three recurrence
-  kinds;
+* the lane engine's convergence masking (retired lanes compacted out
+  per sweep) must be observationally identical to iterating each lane
+  alone with :func:`repro.core.timeops.fixed_point_int` — values,
+  convergence flags *and* iteration counts — across thousands of random
+  lane sets in all three recurrence kinds;
 * ``vectorized`` mode must be bit-identical to ``generic`` and ``fast``
   through the public batch driver, on both backends.
 
 Backend-sensitive tests run once per available backend; the numpy
 parameter skips cleanly on numpy-free machines (including the
-``REPRO_DISABLE_NUMPY=1`` CI leg), where the pure-python fallback is
-the engine under test.
+``REPRO_DISABLE_NUMPY=1`` CI leg), where packs run the scalar kernels.
 """
 
 import random
@@ -28,14 +27,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.timeops import fixed_point_int
 from repro.perf import vector
 from repro.perf.batch import analyse_many, generate_networks
 from repro.perf.stats import counters
 from repro.perf.vector import (
+    MAX_ITER,
     _PACK_LIMIT,
+    _lanes_np,
     _pack_value,
-    _run_lanes,
-    _run_lanes_python,
     pack_networks,
 )
 from repro.profibus.network import stream_specs
@@ -179,11 +179,55 @@ def _random_lanes(rng, n_lanes, kind):
     return base, x0, lim, counts, eC, eT, eJ, cap
 
 
+def _reference_lanes(kind, base, x0, limit, counts, eC, eT, eJ, eCap):
+    """Each lane iterated alone by the generic int fixed-point driver —
+    the full-width reference the masked engine must reproduce."""
+    values, converged, iters = [], [], 0
+    pos = 0
+    for lane, cnt in enumerate(counts):
+        entries = range(pos, pos + cnt)
+        pos += cnt
+        b = base[lane]
+
+        def step(x, entries=entries, b=b):
+            total = b
+            for e in entries:
+                if kind == "ceil":
+                    k = -((-x - eJ[e]) // eT[e])
+                else:
+                    k = (x + eJ[e]) // eT[e] + 1
+                    if kind == "capped":
+                        k = min(k, eCap[e])
+                total += k * eC[e]
+            return total
+
+        value, it, conv = fixed_point_int(
+            step, x0[lane], None if limit is None else limit[lane],
+            max_iter=MAX_ITER)
+        values.append(value)
+        converged.append(conv)
+        iters += it
+    return values, converged, iters
+
+
+def _engine_lanes(kind, base, x0, limit, counts, eC, eT, eJ, eCap):
+    """The lane engine on the same lists, results back as lists."""
+    import numpy as np
+
+    def arr(v):
+        return None if v is None else np.asarray(v, dtype=np.int64)
+
+    vals, conv, iters = _lanes_np(kind, arr(base), arr(x0), arr(limit),
+                                  arr(counts), arr(eC), arr(eT), arr(eJ),
+                                  arr(eCap))
+    return vals.tolist(), conv.tolist(), iters
+
+
 @requires_numpy
 class TestLaneEngineMasking:
-    """The numpy engine retires converged/overshot lanes and compacts
-    the arrays per sweep; every observable must match the full-width
-    per-lane reference loop."""
+    """The engine retires converged/overshot lanes and compacts the
+    arrays per sweep; every observable must match iterating each lane
+    alone."""
 
     @pytest.mark.parametrize("kind", ("ceil", "strict", "capped"))
     def test_masked_engine_matches_reference_1000_plus(self, kind):
@@ -191,9 +235,8 @@ class TestLaneEngineMasking:
         checked = 0
         for batch in range(6):
             args = _random_lanes(rng, 200, kind)
-            want = _run_lanes_python(kind, *args)
-            with vector.backend_forced("numpy"):
-                got = _run_lanes(kind, *args)
+            want = _reference_lanes(kind, *args)
+            got = _engine_lanes(kind, *args)
             assert got[0] == want[0], f"{kind} batch {batch}: values"
             assert got[1] == want[1], f"{kind} batch {batch}: converged"
             assert got[2] == want[2], f"{kind} batch {batch}: iterations"
@@ -201,19 +244,16 @@ class TestLaneEngineMasking:
         assert checked >= 1000
 
     def test_empty_batch(self):
-        with vector.backend_forced("numpy"):
-            assert _run_lanes("ceil", [], [], None, [], [], [], [], None) \
-                == ([], [], 0)
+        assert _engine_lanes("ceil", [], [], None, [], [], [], [], None) \
+            == ([], [], 0)
 
     def test_single_lane_overshoot(self):
         # limit below the fixed point: the lane exits by overshoot and
         # keeps the overshot total (observable in EDF deadline checks)
         args = (["strict", [10], [10], [12], [1], [5], [7], [0], None])
-        want = _run_lanes_python(*args)
-        with vector.backend_forced("numpy"):
-            got = _run_lanes(*args)
-        assert got == want
-        assert want[1] == [False]
+        want = _reference_lanes(*args)
+        assert _engine_lanes(*args) == want
+        assert want == ([20], [False], 1)
 
 
 # -------------------------------------------------------- mode equivalence
@@ -247,13 +287,30 @@ class TestThreeModeEquality:
                 with vector.backend_forced(backend):
                     assert vector.response_rows(net, policy) == want
 
+    @requires_numpy
     def test_vectorized_iterations_counted(self):
         counters.reset()
-        analyse_many(_mixed_workload(6, seed="count"), POLICIES,
-                     workers=1, mode="vectorized")
+        with vector.backend_forced("numpy"):
+            analyse_many(_mixed_workload(6, seed="count"), POLICIES,
+                         workers=1, mode="vectorized")
         snap = counters.snapshot()
         assert snap["vectorized"] > 0
         assert snap["total"] >= snap["vectorized"]
+
+    def test_python_backend_iterations_count_as_fast(self):
+        # numpy-free packs run the scalar kernels: their iterations are
+        # fast-kernel iterations, and no lane engine runs
+        nets = _mixed_workload(6, seed="count")
+        counters.reset()
+        with vector.backend_forced("python"):
+            analyse_many(nets, POLICIES, workers=1, mode="vectorized")
+        snap = counters.snapshot()
+        assert snap["vectorized"] == 0
+        assert snap["generic"] == 0
+        counters.reset()
+        analyse_many(_mixed_workload(6, seed="count"), POLICIES, workers=1,
+                     mode="fast")
+        assert snap["fast"] == counters.snapshot()["fast"] > 0
 
     def test_unpackable_network_falls_back_identically(self):
         net = _mixed_workload(2, seed="unpack")[0]

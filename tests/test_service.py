@@ -308,6 +308,38 @@ class TestErrors:
             session = stats["sessions"]["sessions"]["client-1"]
             assert session["errors"] == 1
 
+    def test_time_disordered_trace_is_bad_request(self):
+        # a reversed log, and one with a single release/cycle-end pair
+        # swapped, must come back as typed errors, not verdicts
+        from repro.monitor import IngestedTrace
+        from repro.sim import BusTrace, TokenBusConfig, validate_network
+
+        net = factory_cell_network()
+        tracer = BusTrace(max_events=100_000)
+        validate_network(net, "dm", 100_000,
+                         config=TokenBusConfig(policy="ap-dm", tracer=tracer))
+        events = list(tracer.events)
+        swapped = list(events)
+        i = next(k for k, e in enumerate(swapped) if e.kind == "release")
+        j = next(k for k in range(i + 1, len(swapped))
+                 if swapped[k].kind == "cycle_end"
+                 and swapped[k].stream == swapped[i].stream
+                 and swapped[k].master == swapped[i].master)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        with ServerThread() as srv:
+            with srv.client() as c:
+                for disordered in (events[::-1], swapped):
+                    doc = api.AnalysisRequest(
+                        op="monitor", network=network_to_dict(net),
+                        policy="dm",
+                        trace=IngestedTrace(events=disordered).to_doc(),
+                    ).to_dict()
+                    with pytest.raises(ServiceError,
+                                       match="bad trace document") as exc:
+                        c.monitor(doc)
+                    assert exc.value.error_type == "bad-request"
+                assert c.ping()["pong"] is True
+
     def test_unparseable_line_reports_protocol_error(self):
         with ServerThread() as srv:
             host, port = srv.address
