@@ -13,6 +13,8 @@ drives **four concurrent clients** at it:
   ``repro.api`` path computed in this process,
 * the final ``stats`` document must show nonzero cache hits and one
   session per client,
+* a malformed request (duplicate station addresses) must come back as
+  a ``bad-request`` error, with the daemon still answering ``ping``,
 * a ``shutdown`` request must stop the daemon cleanly (exit code 0).
 
 Exits nonzero with a message on the first violated expectation.
@@ -26,7 +28,7 @@ import threading
 from repro import api
 from repro.profibus import network_to_dict
 from repro.scenarios import factory_cell_network
-from repro.service import ServiceClient
+from repro.service import ServiceClient, ServiceError
 
 N_CLIENTS = 4
 
@@ -110,6 +112,20 @@ def main():
                 fail(f"expected {N_CLIENTS + 2} sessions: {sessions!r}")
             if any(s["errors"] for s in sessions["sessions"].values()):
                 fail(f"a session recorded errors: {sessions!r}")
+
+            # a malformed network is the caller's fault: a typed
+            # bad-request answer, and the daemon keeps serving
+            broken = json.loads(json.dumps(base))
+            masters = broken["network"]["masters"]
+            masters[1]["address"] = masters[0]["address"]
+            try:
+                monitor.analyse(broken)
+                fail("duplicate station addresses were accepted")
+            except ServiceError as exc:
+                if exc.error_type != "bad-request":
+                    fail(f"malformed request answered {exc}")
+            if monitor.ping().get("pong") is not True:
+                fail("daemon stopped answering after a malformed request")
             monitor.shutdown()
 
         if proc.wait(timeout=30) != 0:

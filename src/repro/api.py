@@ -44,6 +44,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -69,6 +71,15 @@ HEADROOM_PRECISION = Fraction(1, 128)
 class ApiError(ValueError):
     """A malformed or unanswerable request (bad document, unknown
     policy, missing TTR, …) — the caller's fault, reported as data."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -124,13 +135,42 @@ class AnalysisRequest:
             raise ApiError(
                 f"unknown policy {self.policy!r}; pick from {list(POLICIES)}"
             )
+        if self.ttr is not None and not (_is_int(self.ttr) and self.ttr > 0):
+            raise ApiError(
+                f"ttr must be a positive integer (bit times), got {self.ttr!r}"
+            )
+        if not isinstance(self.refined, bool):
+            raise ApiError(f"refined must be true or false, got {self.refined!r}")
+        if not isinstance(self.policies, (list, tuple)):
+            raise ApiError(
+                f"policies must be a list of policy names, got {self.policies!r}"
+            )
         object.__setattr__(self, "policies", tuple(self.policies))
         for p in self.policies:
             if p not in POLICIES:
                 raise ApiError(
                     f"unknown policy {p!r}; pick from {list(POLICIES)}"
                 )
+        if not isinstance(self.sweep_values, (list, tuple)):
+            raise ApiError(
+                f"sweep_values must be a list of numbers, "
+                f"got {self.sweep_values!r}"
+            )
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
+        integral = self.sweep_param == "ttr"
+        for v in self.sweep_values:
+            if not (_is_int(v) if integral else _is_finite(v)):
+                raise ApiError(
+                    f"sweep value {v!r} is not a "
+                    f"{'whole number of bit times' if integral else 'finite number'}"
+                )
+        if self.admission_master is not None and not (
+                _is_int(self.admission_master)
+                and 0 <= self.admission_master <= 126):
+            raise ApiError(
+                f"admission_master must be a station address 0..126, "
+                f"got {self.admission_master!r}"
+            )
         if self.op == "sweep":
             if self.sweep_param not in SWEEP_PARAMS:
                 raise ApiError(
@@ -237,9 +277,9 @@ class AnalysisRequest:
             if name in doc:
                 kwargs[name] = doc[name]
         if "policies" in doc:
-            kwargs["policies"] = tuple(doc["policies"])
+            kwargs["policies"] = doc["policies"]
         if "sweep_values" in doc:
-            kwargs["sweep_values"] = tuple(doc["sweep_values"])
+            kwargs["sweep_values"] = doc["sweep_values"]
         return cls(**kwargs)
 
 
@@ -295,8 +335,6 @@ def _parse_network(request: AnalysisRequest) -> Network:
     except ScenarioFormatError as exc:
         raise ApiError(f"bad network document: {exc}") from exc
     if request.ttr is not None:
-        if request.ttr <= 0:
-            raise ApiError("ttr override must be positive")
         net = net.with_ttr(request.ttr)
     return net
 

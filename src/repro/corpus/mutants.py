@@ -124,18 +124,14 @@ def _dm_single_instance():
 
 
 def _dm_stale_cache():
-    from ..perf.config import fast_path_enabled
     from ..profibus import dm as dm_mod
-    from ..profibus.network import master_memo
 
     original = dm_mod.dm_response_times
 
     def stale_dm_response_times(master, tc):
-        if fast_path_enabled():
-            memo = master_memo(master)
-            entry = memo.get("dm_rows")
-            if entry is not None:  # BUG: the Tcycle key is never checked
-                return list(entry[1])
+        entry = master.__dict__.get("_memo_dm_rows")
+        if entry is not None:  # BUG: the Tcycle key is never checked
+            return list(entry[1])
         # cache miss: the real implementation computes and stores the
         # (tc, rows) slot this wrapper will then serve stale
         return original(master, tc)

@@ -27,51 +27,32 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..perf import kernels
-from ..perf.config import fast_path_enabled
+from ..perf.config import fast_path_enabled, memoised
 from ..core.priority import assign_deadline_monotonic
 from ..core.rta_fixed import nonpreemptive_response_time
 from ..core.task import TaskSet
 from ..core.timeops import ceil_div, fixed_point, fixed_point_int
-from .network import Master, Network, master_memo, stream_specs
+from .network import Master, Network, stream_specs
 from .results import NetworkAnalysis, StreamResponse
 from .timing import tcycle as compute_tcycle
+
+
+def _dm_taskset(streams, tc: int) -> TaskSet:
+    return assign_deadline_monotonic(
+        TaskSet(s.as_token_task(tc) for s in streams)
+    )
 
 
 def _master_taskset(master: Master, tc: int) -> Optional[TaskSet]:
     streams = master.high_streams
     if not streams:
         return None
-    if not fast_path_enabled():
-        return assign_deadline_monotonic(
-            TaskSet(s.as_token_task(tc) for s in streams)
-        )
-    # Single-slot per master: bounded memory under fine-grained TTR
-    # sweeps/bisections that probe many distinct Tcycle values.
-    memo = master_memo(master)
-    entry = memo.get("dm_ts")
-    if entry is not None and entry[0] == tc:
-        return entry[1]
-    ts = assign_deadline_monotonic(
-        TaskSet(s.as_token_task(tc) for s in streams)
-    )
-    memo["dm_ts"] = (tc, ts)
-    return ts
+    return memoised(master, "_memo_dm_ts", tc, _dm_taskset, streams, tc)
 
 
-def dm_response_times(master: Master, tc: int) -> List[StreamResponse]:
-    """Eq. (16) for every high-priority stream of one master (memoised
-    per master instance and Tcycle)."""
+def _dm_rows(master: Master, tc: int) -> tuple:
     streams = master.high_streams
-    if not streams:
-        return []
-    fast = fast_path_enabled()
-    if fast:
-        memo = master_memo(master)
-        entry = memo.get("dm_rows")  # single slot, see _master_taskset
-        if entry is not None and entry[0] == tc:
-            return list(entry[1])  # callers own their copy
-
-    specs = stream_specs(master) if fast else None
+    specs = stream_specs(master) if fast_path_enabled() else None
     if specs is not None and type(tc) is int:
         values = kernels.dm_master_response_times(specs, tc)
     else:
@@ -83,7 +64,7 @@ def dm_response_times(master: Master, tc: int) -> List[StreamResponse]:
             nonpreemptive_response_time(ts, ts[idx]).value
             for idx in range(len(streams))
         ]
-    out = [
+    return tuple(
         StreamResponse(
             master=master.name,
             stream=s,
@@ -91,10 +72,15 @@ def dm_response_times(master: Master, tc: int) -> List[StreamResponse]:
             Q=None if r is None else r - tc,
         )
         for s, r in zip(streams, values)
-    ]
-    if fast:
-        memo["dm_rows"] = (tc, list(out))  # private copy
-    return out
+    )
+
+
+def dm_response_times(master: Master, tc: int) -> List[StreamResponse]:
+    """Eq. (16) for every high-priority stream of one master (memoised
+    per master instance and Tcycle; callers own the returned list)."""
+    if not master.high_streams:
+        return []
+    return list(memoised(master, "_memo_dm_rows", tc, _dm_rows, master, tc))
 
 
 def dm_response_time_paper_form(

@@ -24,42 +24,28 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..perf import kernels
-from ..perf.config import fast_path_enabled
+from ..perf.config import fast_path_enabled, memoised
 from ..core.edf_rta import edf_response_time
 from ..core.task import TaskSet
-from .network import Master, Network, master_memo, stream_specs
+from .network import Master, Network, stream_specs
 from .results import NetworkAnalysis, StreamResponse
 from .timing import tcycle as compute_tcycle
+
+
+def _edf_taskset(streams, tc: int) -> TaskSet:
+    return TaskSet(s.as_token_task(tc) for s in streams)
 
 
 def _staged_taskset(master: Master, tc: int) -> TaskSet:
     # Shared across sweep rows / repeated analyses of the same immutable
     # master: the TaskSet carries its own memoised invariants.
-    if not fast_path_enabled():
-        return TaskSet(s.as_token_task(tc) for s in master.high_streams)
-    memo = master_memo(master)
-    entry = memo.get("edf_ts")  # single slot: bounded under TTR sweeps
-    if entry is not None and entry[0] == tc:
-        return entry[1]
-    ts = TaskSet(s.as_token_task(tc) for s in master.high_streams)
-    memo["edf_ts"] = (tc, ts)
-    return ts
+    return memoised(master, "_memo_edf_ts", tc, _edf_taskset,
+                    master.high_streams, tc)
 
 
-def edf_response_times(master: Master, tc: int) -> List[StreamResponse]:
-    """Eqs. (17)–(18) for every high-priority stream of one master
-    (memoised per master instance and Tcycle)."""
+def _edf_rows(master: Master, tc: int) -> tuple:
     streams = master.high_streams
-    if not streams:
-        return []
-    fast = fast_path_enabled()
-    if fast:
-        memo = master_memo(master)
-        entry = memo.get("edf_rows")  # single slot, see _staged_taskset
-        if entry is not None and entry[0] == tc:
-            return list(entry[1])  # callers own their copy
-
-    specs = stream_specs(master) if fast else None
+    specs = stream_specs(master) if fast_path_enabled() else None
     if specs is not None and type(tc) is int:
         values = kernels.edf_master_response_times(specs, tc)
     else:
@@ -77,7 +63,7 @@ def edf_response_times(master: Master, tc: int) -> List[StreamResponse]:
                 for idx in range(len(streams))
             )
         ]
-    out = [
+    return tuple(
         StreamResponse(
             master=master.name,
             stream=s,
@@ -86,10 +72,17 @@ def edf_response_times(master: Master, tc: int) -> List[StreamResponse]:
             critical_a=a,
         )
         for s, (r, a) in zip(streams, values)
-    ]
-    if fast:
-        memo["edf_rows"] = (tc, list(out))  # private copy
-    return out
+    )
+
+
+def edf_response_times(master: Master, tc: int) -> List[StreamResponse]:
+    """Eqs. (17)–(18) for every high-priority stream of one master
+    (memoised per master instance and Tcycle; callers own the returned
+    list)."""
+    if not master.high_streams:
+        return []
+    return list(memoised(master, "_memo_edf_rows", tc, _edf_rows,
+                         master, tc))
 
 
 def edf_analysis(

@@ -22,46 +22,36 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.timeops import floor_div
-from .network import Network
+from ..perf.config import memoised
+from .network import Master, Network
 from .results import NetworkAnalysis, StreamResponse
 from .timing import tcycle as compute_tcycle
 from .timing import tdel as compute_tdel
+
+
+def _fcfs_rows(master: Master, tc: int, phy) -> tuple:
+    nh = master.nh
+    return tuple(
+        StreamResponse(
+            master=master.name, stream=s, R=nh * tc,
+            Q=nh * tc - s.cycle_bits(phy),
+        )
+        for s in master.high_streams
+    )
 
 
 def fcfs_analysis(
     network: Network, ttr: Optional[int] = None, refined: bool = False
 ) -> NetworkAnalysis:
     """Eq. (11)/(12) for every high-priority stream of the network."""
-    from ..perf.config import fast_path_enabled
-    from .network import master_memo
-
     if ttr is None:
         ttr = network.require_ttr()
     tc = compute_tcycle(network, ttr, refined=refined)
-    per_stream = []
-    fast = fast_path_enabled()
     phy = network.phy
+    per_stream = []
     for master in network.masters:
-        rows = None
-        if fast:
-            # Single slot per master (bounded under TTR sweeps); the
-            # identity check on the PHY avoids hashing it.
-            memo = master_memo(master)
-            entry = memo.get("fcfs_rows")
-            if entry is not None and entry[0] == tc and entry[1] is phy:
-                rows = entry[2]
-        if rows is None:
-            nh = master.nh
-            rows = [
-                StreamResponse(
-                    master=master.name, stream=s, R=nh * tc,
-                    Q=nh * tc - s.cycle_bits(phy),
-                )
-                for s in master.high_streams
-            ]
-            if fast:
-                memo["fcfs_rows"] = (tc, phy, rows)
-        per_stream.extend(rows)
+        per_stream.extend(memoised(master, "_memo_fcfs_rows", (tc, phy),
+                                   _fcfs_rows, master, tc, phy))
     return NetworkAnalysis(
         policy="fcfs",
         ttr=ttr,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..perf.config import fast_path_enabled
+from ..perf.config import memoised
 from .cycle import token_pass_time
 from .phy import PhyParameters
 from .stream import MessageStream
@@ -40,7 +40,7 @@ class Master:
 
     def __getstate__(self):
         # Memoised derivations (leading underscore) are process-local:
-        # the analysis memo can hold identity-keyed caches.
+        # the memo slots (see perf.config.memoised) are identity-keyed.
         return {k: v for k, v in self.__dict__.items()
                 if not k.startswith("_")}
 
@@ -77,41 +77,48 @@ class Master:
         return replace(self, streams=tuple(streams))
 
 
-def master_memo(master: Master) -> dict:
-    """Per-master instance memo for derived analysis artefacts.
-
-    Masters are immutable (frozen dataclasses), so staged task sets,
-    longest-cycle figures and analysis rows are cached on the instance
-    itself, keyed by the remaining analysis inputs (``Tcycle``, PHY).
-    Instance-keyed (not value-keyed) on purpose: sweeps re-analyse the
-    *same* master objects thousands of times, while benchmark baselines
-    on freshly generated but value-equal networks must not get
-    accidental hits.  Dropped on pickling (see ``__getstate__``);
-    worker processes rebuild locally.
-    """
-    try:
-        return master._analysis_memo
-    except AttributeError:
-        memo: dict = {}
-        object.__setattr__(master, "_analysis_memo", memo)
-        return memo
+def _specs(master: Master) -> Optional[tuple]:
+    specs = tuple((s.T, s.D, s.J) for s in master.high_streams)
+    if all(type(t) is int and type(d) is int and type(j) is int
+           for t, d, j in specs):
+        return specs
+    return None
 
 
 def stream_specs(master: Master) -> Optional[tuple]:
     """``(T, D, J)`` per high-priority stream when all are plain ints —
     the whole-master kernel input (see :mod:`repro.perf.kernels`) —
     else ``None``.  Memoised on the master."""
-    memo = master_memo(master)
-    specs = memo.get("specs", False)
-    if specs is False:
-        specs = tuple((s.T, s.D, s.J) for s in master.high_streams)
-        if not all(
-            type(t) is int and type(d) is int and type(j) is int
-            for t, d, j in specs
-        ):
-            specs = None
-        memo["specs"] = specs
-    return specs
+    return memoised(master, "_memo_specs", None, _specs, master)
+
+
+def _pack_columns(master: Master, phy) -> Optional[tuple]:
+    ts: list = []
+    ds: list = []
+    js: list = []
+    mx = 0
+    cm = 0
+    for s in master.streams:
+        cb = s.cycle_bits(phy)
+        if cb > cm:
+            cm = cb
+        if not s.high_priority:
+            continue
+        t = s.T
+        d = s.D
+        j = s.J
+        if not (type(t) is int and type(d) is int and type(j) is int):
+            return None
+        if t > mx:
+            mx = t
+        if d > mx:
+            mx = d
+        if j > mx:
+            mx = j
+        ts.append(t)
+        ds.append(d)
+        js.append(j)
+    return (tuple(ts), tuple(ds), tuple(js), mx, cm)
 
 
 def master_pack_columns(master: Master, phy) -> Optional[tuple]:
@@ -124,50 +131,8 @@ def master_pack_columns(master: Master, phy) -> Optional[tuple]:
     (master, PHY): packing is per-network-constant-cost bound, and the
     batch drivers pack the same master against one PHY thousands of
     times."""
-    memo = master_memo(master)
-    entry = memo.get("pack_cols")
-    if entry is not None and entry[0] is phy:
-        return entry[1]
-    ts: list = []
-    ds: list = []
-    js: list = []
-    mx = 0
-    cm = 0
-    ok = True
-    fp = fast_path_enabled()
-    for s in master.streams:
-        # Inline warm probe of the stream's single-slot cycle memo (the
-        # TTR assignment walks the cycle lengths, so it is usually
-        # populated); cold or fast-path-disabled streams take the
-        # canonical s.cycle_bits path.
-        cb = s.C_bits
-        if cb is None:
-            mc = getattr(s, "_cycle_memo", None) if fp else None
-            cb = mc[1] if mc is not None and mc[0] is phy \
-                else s.cycle_bits(phy)
-        if cb > cm:
-            cm = cb
-        if not s.high_priority:
-            continue
-        t = s.T
-        d = s.D
-        j = s.J
-        if type(t) is int and type(d) is int and type(j) is int:
-            if t > mx:
-                mx = t
-            if d > mx:
-                mx = d
-            if j > mx:
-                mx = j
-            ts.append(t)
-            ds.append(d)
-            js.append(j)
-        else:
-            ok = False
-            break
-    cols = (tuple(ts), tuple(ds), tuple(js), mx, cm) if ok else None
-    memo["pack_cols"] = (phy, cols)
-    return cols
+    return memoised(master, "_memo_pack_cols", phy, _pack_columns,
+                    master, phy)
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,21 @@ class ScenarioFormatError(ValueError):
 
 
 def _check_keys(obj: Dict[str, Any], allowed, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ScenarioFormatError(
+            f"{where} must be a JSON object, got {type(obj).__name__}")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ScenarioFormatError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
         )
+
+
+def _list(obj: Dict[str, Any], key: str, where: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ScenarioFormatError(f"{where}: {key!r} must be a JSON list")
+    return value
 
 
 def _phy_from(obj: Dict[str, Any]) -> PhyParameters:
@@ -64,14 +74,15 @@ def _cycle_from(obj: Dict[str, Any]) -> MessageCycleSpec:
 
 def _stream_from(obj: Dict[str, Any]) -> MessageStream:
     allowed = {"name", "T", "D", "J", "high_priority", "cycle", "C_bits"}
-    _check_keys(obj, allowed, f"stream {obj.get('name', '?')!r}")
+    name = obj.get("name", "?") if isinstance(obj, dict) else "?"
+    _check_keys(obj, allowed, f"stream {name!r}")
     kwargs = {k: obj[k] for k in ("name", "T", "D", "J", "high_priority",
                                   "C_bits") if k in obj}
     if "cycle" in obj:
         kwargs["spec"] = _cycle_from(obj["cycle"])
     try:
         return MessageStream(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"bad stream {obj!r}: {exc}") from exc
 
 
@@ -80,26 +91,40 @@ def _master_from(obj: Dict[str, Any]) -> Master:
     return Master(
         address=obj["address"],
         name=obj.get("name", ""),
-        streams=tuple(_stream_from(s) for s in obj.get("streams", [])),
+        streams=tuple(_stream_from(s)
+                      for s in _list(obj, "streams", "master")),
     )
+
+
+def _slave_from(obj: Dict[str, Any]) -> Slave:
+    _check_keys(obj, {"address", "name"}, "slave")
+    return Slave(address=obj["address"], name=obj.get("name", ""))
 
 
 def network_from_dict(doc: Dict[str, Any]) -> Network:
-    """Build a :class:`Network` from a parsed scenario document."""
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError("scenario document must be a JSON object")
-    _check_keys(doc, {"phy", "ttr", "masters", "slaves"}, "scenario")
+    """Build a :class:`Network` from a parsed scenario document.
+
+    Every malformed document — wrong shapes, missing or mistyped
+    fields, values the model constructors reject — raises
+    :class:`ScenarioFormatError`."""
+    _check_keys(doc, {"phy", "ttr", "masters", "slaves"}, "scenario document")
     if "masters" not in doc:
         raise ScenarioFormatError("scenario needs a 'masters' list")
-    return Network(
-        masters=tuple(_master_from(m) for m in doc["masters"]),
-        slaves=tuple(
-            Slave(address=s["address"], name=s.get("name", ""))
-            for s in doc.get("slaves", [])
-        ),
-        phy=_phy_from(doc.get("phy", {})),
-        ttr=doc.get("ttr"),
-    )
+    try:
+        return Network(
+            masters=tuple(_master_from(m)
+                          for m in _list(doc, "masters", "scenario")),
+            slaves=tuple(_slave_from(s)
+                         for s in _list(doc, "slaves", "scenario")),
+            phy=_phy_from(doc.get("phy", {})),
+            ttr=doc.get("ttr"),
+        )
+    except ScenarioFormatError:
+        raise
+    except KeyError as exc:
+        raise ScenarioFormatError(f"scenario: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFormatError(f"bad scenario: {exc}") from exc
 
 
 def _field_defaults(cls) -> Dict[str, Any]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..core.task import Task
-from ..perf.config import fast_path_enabled
+from ..perf.config import memoised
 from .cycle import MessageCycleSpec, cycle_time
 from .phy import PhyParameters
 
@@ -64,17 +64,7 @@ class MessageStream:
         """
         if self.C_bits is not None:
             return self.C_bits
-        if not fast_path_enabled():
-            return cycle_time(self.spec, phy)
-        # Single-slot identity cache: a stream is evaluated against one
-        # PHY in practice, and identity comparison avoids hashing the
-        # parameter set on every lookup.
-        memo = getattr(self, "_cycle_memo", None)
-        if memo is not None and memo[0] is phy:
-            return memo[1]
-        bits = cycle_time(self.spec, phy)
-        object.__setattr__(self, "_cycle_memo", (phy, bits))
-        return bits
+        return memoised(self, "_memo_cycle", phy, cycle_time, self.spec, phy)
 
     def as_task(self, phy: PhyParameters) -> Task:
         """View this stream as a core :class:`~repro.core.task.Task`

@@ -33,60 +33,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..perf.config import fast_path_enabled
-from .network import Master, Network, master_memo
+from ..perf.config import memoised
+from .network import Master, Network
+
+
+def _longest(streams, phy) -> int:
+    lengths = [s.cycle_bits(phy) for s in streams]
+    return max(lengths) if lengths else 0
 
 
 def longest_cycle(master: Master, phy) -> int:
     """``C_M^k``: longest message cycle of either priority; 0 if no streams."""
-    if not fast_path_enabled():
-        lengths = [s.cycle_bits(phy) for s in master.streams]
-        return max(lengths) if lengths else 0
-    # Single-slot identity cache per master (one PHY per network).
-    memo = master_memo(master)
-    entry = memo.get("cm")
-    if entry is not None and entry[0] is phy:
-        return entry[1]
-    lengths = [s.cycle_bits(phy) for s in master.streams]
-    value = max(lengths) if lengths else 0
-    memo["cm"] = (phy, value)
-    return value
+    return memoised(master, "_memo_cm", phy, _longest, master.streams, phy)
 
 
 def longest_high_cycle(master: Master, phy) -> int:
     """``ChM^k``: longest *high-priority* cycle; 0 if none."""
-    if not fast_path_enabled():
-        lengths = [s.cycle_bits(phy) for s in master.high_streams]
-        return max(lengths) if lengths else 0
-    memo = master_memo(master)
-    entry = memo.get("chm")
-    if entry is not None and entry[0] is phy:
-        return entry[1]
-    lengths = [s.cycle_bits(phy) for s in master.high_streams]
-    value = max(lengths) if lengths else 0
-    memo["chm"] = (phy, value)
-    return value
+    return memoised(master, "_memo_chm", phy, _longest,
+                    master.high_streams, phy)
 
 
-def _network_memo(network: Network) -> dict:
-    try:
-        return network._timing_memo
-    except AttributeError:
-        memo: dict = {}
-        object.__setattr__(network, "_timing_memo", memo)
-        return memo
+def _tdel(network: Network) -> int:
+    return sum(longest_cycle(m, network.phy) for m in network.masters)
 
 
 def tdel(network: Network) -> int:
     """Eq. (13): ``Tdel = Σ_k C_M^k`` (memoised per network)."""
-    if not fast_path_enabled():
-        return sum(longest_cycle(m, network.phy) for m in network.masters)
-    memo = _network_memo(network)
-    value = memo.get("tdel")
-    if value is None:
-        value = sum(longest_cycle(m, network.phy) for m in network.masters)
-        memo["tdel"] = value
-    return value
+    return memoised(network, "_memo_tdel", None, _tdel, network)
+
+
+def _tdel_refined(network: Network) -> int:
+    phy = network.phy
+    cm = [longest_cycle(m, phy) for m in network.masters]
+    chm = [longest_high_cycle(m, phy) for m in network.masters]
+    total_high = sum(chm)
+    return max(c + (total_high - h) for c, h in zip(cm, chm))
 
 
 def tdel_refined(network: Network) -> int:
@@ -95,24 +76,8 @@ def tdel_refined(network: Network) -> int:
     Falls back to the single master's longest cycle for a one-master
     network.  Never exceeds :func:`tdel`.  Memoised per network.
     """
-    use_memo = fast_path_enabled()
-    if use_memo:
-        memo = _network_memo(network)
-        value = memo.get("tdel_refined")
-        if value is not None:
-            return value
-    phy = network.phy
-    cm = [longest_cycle(m, phy) for m in network.masters]
-    chm = [longest_high_cycle(m, phy) for m in network.masters]
-    total_high = sum(chm)
-    best = 0
-    for k in range(len(cm)):
-        cand = cm[k] + (total_high - chm[k])
-        if cand > best:
-            best = cand
-    if use_memo:
-        memo["tdel_refined"] = best
-    return best
+    return memoised(network, "_memo_tdel_refined", None, _tdel_refined,
+                    network)
 
 
 def tcycle(network: Network, ttr: int = None, refined: bool = False) -> int:

@@ -57,6 +57,71 @@ class TestRequestValidation:
         assert _analyse_request() != _analyse_request(policy="edf")
 
 
+def _request_doc(**overrides):
+    doc = {"schema": api.API_SCHEMA, "op": "analyse", "network": _net_doc()}
+    doc.update(overrides)
+    return doc
+
+
+def _network_doc(edit):
+    net = _net_doc()
+    edit(net)
+    return _request_doc(network=net)
+
+
+_ADMIT = {"op": "admission",
+          "admission_stream": {"name": "new", "T": 120_000, "C_bits": 500}}
+_TTR_SWEEP = {"op": "sweep", "sweep_param": "ttr"}
+
+#: Malformed request documents, each of which once escaped
+#: ``execute_request_doc`` as a bare exception (the daemon then answered
+#: ``internal``) or was accepted with a wrong value.
+MALFORMED = {
+    "ttr-string": _request_doc(ttr="30000"),
+    "ttr-float": _request_doc(ttr=30000.5),
+    "refined-string": _request_doc(refined="yes"),
+    "policies-int": _request_doc(op="sweep", sweep_param="ttr",
+                                 sweep_values=[3000], policies=5),
+    "admission-master-string": _request_doc(**_ADMIT, admission_master="1"),
+    "admission-master-float": _request_doc(**_ADMIT, admission_master=1.5),
+    "sweep-value-string": _request_doc(**_TTR_SWEEP, sweep_values=["a"]),
+    "sweep-value-null": _request_doc(**_TTR_SWEEP, sweep_values=[None]),
+    "sweep-value-infinite": _request_doc(
+        **_TTR_SWEEP, sweep_values=json.loads("[Infinity]")),
+    "masters-of-ints": _network_doc(lambda n: n.update(masters=[1])),
+    "master-address-string": _network_doc(
+        lambda n: n["masters"][0].update(address="x")),
+    "master-streams-string": _network_doc(
+        lambda n: n["masters"][0].update(streams="abc")),
+    "slave-without-address": _network_doc(
+        lambda n: n.update(slaves=[{"addr": 3}])),
+    "duplicate-addresses": _network_doc(
+        lambda n: n["masters"][1].update(address=1)),
+    "address-out-of-range": _network_doc(
+        lambda n: n["masters"][0].update(address=200)),
+    "network-ttr-negative": _network_doc(lambda n: n.update(ttr=-5)),
+    "no-masters": _network_doc(lambda n: n.update(masters=[])),
+}
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_is_an_api_error(self, case):
+        with pytest.raises(ApiError):
+            api.execute_request_doc(MALFORMED[case])
+
+    def test_valid_values_of_the_checked_fields_pass(self):
+        doc = _request_doc(op="sweep", sweep_param="ttr", ttr=3000,
+                           refined=True, policies=["dm"],
+                           sweep_values=[3000, 4000])
+        result = api.execute_request_doc(doc)
+        assert [row["value"] for row in result["payload"]["rows"]] \
+            == [3000, 4000]
+        result = api.execute_request_doc(_request_doc(
+            **_ADMIT, admission_master=9))
+        assert result["payload"]["master"] == 9
+
+
 class TestTransportForms:
     def test_to_dict_omits_defaults(self):
         doc = _analyse_request().to_dict()

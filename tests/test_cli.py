@@ -159,6 +159,14 @@ class TestExitCodeMatrix:
             main(["analyse", "--file", str(path)])
         assert "bad scenario file" in str(exc.value.code)
 
+    def test_rejected_values_in_file_are_a_clean_message(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text('{"masters": [{"address": 1}, {"address": 1}]}')
+        with pytest.raises(SystemExit) as exc:
+            main(["analyse", "--file", str(path)])
+        assert "bad scenario file" in str(exc.value.code)
+        assert "duplicate station addresses" in str(exc.value.code)
+
     def test_unknown_scenario_listed_before_file_processing(self, tmp_path):
         """Programmatic callers (argparse can't reach this): an unknown
         scenario is diagnosed with the valid choices *before* any file

@@ -136,11 +136,22 @@ class TestGenerateNetworks:
 
     def test_networks_pickle_without_identity_caches(self):
         net = generate_networks(1, seed=9)[0]
-        analyse(net, "dm")  # populate instance memos
+        for policy in ("fcfs", "dm", "edf"):  # populate instance memos
+            analyse(net, policy)
+        net.fingerprint()
+
+        def owners(network):
+            return ([network] + list(network.masters)
+                    + [s for m in network.masters for s in m.streams])
+
+        def private(obj):
+            return {k for k in vars(obj) if k.startswith("_")}
+
+        assert all(private(obj) for obj in owners(net))
         clone = pickle.loads(pickle.dumps(net))
         assert clone == net
-        for master in clone.masters:
-            assert not hasattr(master, "_analysis_memo")
+        for obj in owners(clone):
+            assert not private(obj), obj
         # and the clone analyses to the same verdicts
         a, b = analyse(net, "edf"), analyse(clone, "edf")
         assert [sr.R for sr in a.per_stream] == [sr.R for sr in b.per_stream]

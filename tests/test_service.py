@@ -308,6 +308,24 @@ class TestErrors:
             session = stats["sessions"]["sessions"]["client-1"]
             assert session["errors"] == 1
 
+    def test_malformed_network_values_are_bad_request(self):
+        # a well-shaped document the model constructors reject (two
+        # stations on one address, a string TTR) is the caller's fault,
+        # not an internal error
+        net = network_to_dict(factory_cell_network())
+        net["masters"][1]["address"] = net["masters"][0]["address"]
+        docs = [{"schema": api.API_SCHEMA, "op": "analyse", "network": net},
+                {"schema": api.API_SCHEMA, "op": "analyse",
+                 "network": network_to_dict(factory_cell_network()),
+                 "ttr": "30000"}]
+        with ServerThread() as srv:
+            with srv.client() as c:
+                for doc in docs:
+                    with pytest.raises(ServiceError) as exc_info:
+                        c.analyse(doc)
+                    assert exc_info.value.error_type == "bad-request"
+                assert c.ping()["pong"] is True
+
     def test_time_disordered_trace_is_bad_request(self):
         # a reversed log, and one with a single release/cycle-end pair
         # swapped, must come back as typed errors, not verdicts
