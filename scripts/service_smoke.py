@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """CI smoke driver for the analysis service.
 
-Launches the real daemon (``repro-cli serve --port 0``) as a
-subprocess, parses the kernel-assigned port off its banner line, then
+Launches the real daemon (``repro-cli serve --port 0 --workers N``) as
+a subprocess, parses the kernel-assigned port off its banner line, then
 drives **four concurrent clients** at it:
 
 * all four send the same factory-cell analysis request (one warm-up
@@ -17,9 +17,12 @@ drives **four concurrent clients** at it:
   a ``bad-request`` error, with the daemon still answering ``ping``,
 * a ``shutdown`` request must stop the daemon cleanly (exit code 0).
 
-Exits nonzero with a message on the first violated expectation.
+Usage: ``python scripts/service_smoke.py [--workers N]`` (default 1;
+``N > 1`` computes cache misses on the daemon's process pool).  Exits
+nonzero with a message on the first violated expectation.
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -39,6 +42,10 @@ def fail(message):
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workers", type=int, default=1,
+                        help="the daemon's --workers value")
+    args = parser.parse_args()
     base = api.AnalysisRequest(
         op="analyse", network=network_to_dict(factory_cell_network())
     ).to_dict()
@@ -47,7 +54,8 @@ def main():
     offline_variant = api.execute_request_doc(variant)
 
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--port", "0"],
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--workers", str(args.workers)],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -58,7 +66,8 @@ def main():
             fail(f"unexpected server banner {banner!r}")
         host, _, port = banner.removeprefix("listening on ").rpartition(":")
         address = (host, int(port))
-        print(f"service smoke: daemon up at {host}:{port}")
+        print(f"service smoke: daemon up at {host}:{port} "
+              f"(workers={args.workers})")
 
         with ServiceClient(*address) as warmup:
             reply = warmup.analyse(base)
@@ -131,7 +140,8 @@ def main():
         if proc.wait(timeout=30) != 0:
             fail(f"daemon exited with {proc.returncode}")
         print("service smoke: OK —",
-              json.dumps({"cache": cache, "clients": N_CLIENTS}))
+              json.dumps({"cache": cache, "clients": N_CLIENTS,
+                          "workers": args.workers}))
     finally:
         if proc.poll() is None:
             proc.terminate()

@@ -25,13 +25,17 @@ declarative-input / deterministic-core / schema-validated-output split
 is deliberate: interpretation happens at this boundary (documents in,
 documents out), the analysis core stays pure computation.
 
-Caching.  :func:`execute` optionally consults a
-:class:`repro.perf.cache.ResultCache` keyed on the request's **value
-key** — the canonical network fingerprint plus the analysis coordinates
-— so identical and repeated requests hit instead of recompute, whoever
-parsed the document.  Pass ``cache=None`` (the default) for the
-recompute-always behaviour the benchmarks and differential oracles
-require.
+A request is answered in two steps: :func:`resolve` parses its network
+document once and fingerprints it, :func:`compute` answers it for that
+parsed network.  :func:`execute` is the two in a row and always
+recomputes, as the benchmarks and differential oracles require.
+
+Caching.  The one result cache is the daemon's
+(:mod:`repro.service.server`): it keys a
+:class:`repro.perf.cache.ResultCache` by
+:meth:`AnalysisRequest.cache_key` — the canonical network fingerprint
+plus the analysis coordinates — between the two steps, so identical
+and re-spelled requests hit instead of recompute.
 
 The old call signatures (``repro.profibus.ttr.analyse``,
 ``repro.perf.batch.analyse_many``, the sweep functions) remain as the
@@ -50,13 +54,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .perf.cache import ResultCache
 from .perf.config import ANALYSIS_MODES, analysis_mode_set
 from .profibus import serialization as serialization_mod
 from .profibus import sweep as sweep_mod
 from .profibus import ttr as ttr_mod
 from .profibus.network import Master, Network
-from .profibus.serialization import ScenarioFormatError
+from .profibus.serialization import ScenarioFormatError, is_int
 from .schemas import API_SCHEMA
 
 OPS = ("analyse", "sweep", "admission", "monitor")
@@ -71,10 +74,6 @@ HEADROOM_PRECISION = Fraction(1, 128)
 class ApiError(ValueError):
     """A malformed or unanswerable request (bad document, unknown
     policy, missing TTR, …) — the caller's fault, reported as data."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_finite(value) -> bool:
@@ -135,7 +134,7 @@ class AnalysisRequest:
             raise ApiError(
                 f"unknown policy {self.policy!r}; pick from {list(POLICIES)}"
             )
-        if self.ttr is not None and not (_is_int(self.ttr) and self.ttr > 0):
+        if self.ttr is not None and not (is_int(self.ttr) and self.ttr > 0):
             raise ApiError(
                 f"ttr must be a positive integer (bit times), got {self.ttr!r}"
             )
@@ -157,15 +156,16 @@ class AnalysisRequest:
                 f"got {self.sweep_values!r}"
             )
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
-        integral = self.sweep_param == "ttr"
+        # bit times and baud rates are counted; deadline scales are not
+        integral = self.sweep_param in ("ttr", "baud")
         for v in self.sweep_values:
-            if not (_is_int(v) if integral else _is_finite(v)):
+            if not (is_int(v) if integral else _is_finite(v)):
                 raise ApiError(
                     f"sweep value {v!r} is not a "
-                    f"{'whole number of bit times' if integral else 'finite number'}"
+                    f"{'whole number' if integral else 'finite number'}"
                 )
         if self.admission_master is not None and not (
-                _is_int(self.admission_master)
+                is_int(self.admission_master)
                 and 0 <= self.admission_master <= 126):
             raise ApiError(
                 f"admission_master must be a station address 0..126, "
@@ -190,9 +190,7 @@ class AnalysisRequest:
                 )
         if self.op == "monitor" and not isinstance(self.trace, dict):
             raise ApiError("monitor needs trace (a trace document)")
-        if (isinstance(self.stats_after, bool)
-                or not isinstance(self.stats_after, int)
-                or self.stats_after < 0):
+        if not (is_int(self.stats_after) and self.stats_after >= 0):
             raise ApiError("stats_after must be a non-negative integer")
 
     # -- value identity --------------------------------------------------
@@ -230,21 +228,12 @@ class AnalysisRequest:
 
     # -- schema-versioned transport forms --------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
-            "schema": API_SCHEMA,
-            "op": self.op,
-            "network": self.network,
-        }
-        defaults = {
-            f.name: (f.default_factory() if f.default_factory
-                     is not dataclasses.MISSING else f.default)
-            for f in dataclasses.fields(self)
-        }
-        for name in ("policy", "policies", "ttr", "refined", "sweep_param",
-                     "sweep_values", "admission_master", "admission_stream",
-                     "trace", "stats_after", "mode"):
+        """The request document; fields at their default are omitted
+        (required fields have none, so they are always written)."""
+        doc: Dict[str, Any] = {"schema": API_SCHEMA}
+        for name, default in _REQUEST_DEFAULTS.items():
             value = getattr(self, name)
-            if value != defaults[name]:
+            if value != default:
                 doc[name] = list(value) if isinstance(value, tuple) else value
         return doc
 
@@ -257,30 +246,23 @@ class AnalysisRequest:
                 f"unsupported request schema {doc.get('schema')!r}; "
                 f"this build speaks {API_SCHEMA}"
             )
-        allowed = {"schema", "op", "network", "policy", "policies", "ttr",
-                   "refined", "sweep_param", "sweep_values",
-                   "admission_master", "admission_stream", "trace",
-                   "stats_after", "mode"}
+        allowed = {"schema", *_REQUEST_DEFAULTS}
         unknown = set(doc) - allowed
         if unknown:
             raise ApiError(
                 f"unknown request key(s) {sorted(unknown)}; "
                 f"allowed: {sorted(allowed)}"
             )
-        for key in ("op", "network"):
-            if key not in doc:
-                raise ApiError(f"request missing key {key!r}")
-        kwargs: Dict[str, Any] = {"op": doc["op"], "network": doc["network"]}
-        for name in ("policy", "ttr", "refined", "sweep_param",
-                     "admission_master", "admission_stream", "trace",
-                     "stats_after", "mode"):
-            if name in doc:
-                kwargs[name] = doc[name]
-        if "policies" in doc:
-            kwargs["policies"] = doc["policies"]
-        if "sweep_values" in doc:
-            kwargs["sweep_values"] = doc["sweep_values"]
-        return cls(**kwargs)
+        for name, default in _REQUEST_DEFAULTS.items():
+            if default is dataclasses.MISSING and name not in doc:
+                raise ApiError(f"request missing key {name!r}")
+        return cls(**{name: doc[name] for name in _REQUEST_DEFAULTS
+                      if name in doc})
+
+
+#: ``AnalysisRequest`` field name → default (``MISSING`` when required),
+#: in declaration order: the one field list of the transport forms.
+_REQUEST_DEFAULTS = serialization_mod._field_defaults(AnalysisRequest)
 
 
 @dataclass(frozen=True)
@@ -329,14 +311,17 @@ class AnalysisResult:
 
 # ---------------------------------------------------------------- compute
 
-def _parse_network(request: AnalysisRequest) -> Network:
+def resolve(request: AnalysisRequest) -> Tuple[Network, str]:
+    """``(network, fingerprint)`` of the request: its network document
+    parsed once (with the request's TTR override applied) and that
+    network's canonical fingerprint, the value-key component."""
     try:
         net = serialization_mod.network_from_dict(request.network)
     except ScenarioFormatError as exc:
         raise ApiError(f"bad network document: {exc}") from exc
     if request.ttr is not None:
         net = net.with_ttr(request.ttr)
-    return net
+    return net, net.fingerprint()
 
 
 def _analysis_payload(net: Network, policy: str,
@@ -388,11 +373,8 @@ def _compute_sweep(request: AnalysisRequest, net: Network,
                 net, request.sweep_values, policies=policies, workers=workers
             )
         else:
-            values = ([int(v) for v in request.sweep_values]
-                      if request.sweep_values else None)
             rows = sweep_mod.baud_sweep(
-                net, values if values is not None
-                else sweep_mod.STANDARD_BAUD_RATES,
+                net, request.sweep_values or sweep_mod.STANDARD_BAUD_RATES,
                 policies=policies, workers=workers,
             )
     except ValueError as exc:
@@ -564,53 +546,36 @@ _COMPUTE = {
 
 # ------------------------------------------------------------- entrypoint
 
-def execute_cached(
+def compute(
     request: AnalysisRequest,
-    cache: Optional[ResultCache] = None,
-    workers: int = 1,
-) -> Tuple[AnalysisResult, bool]:
-    """``(result, cache_hit)`` for one request.
-
-    With a cache, the value key (canonical network fingerprint +
-    analysis coordinates) is consulted first; a hit returns the stored
-    result without touching the analysis layer.  ``workers`` spreads a
-    large sweep grid over the batch process pool; it is an execution
-    detail, never part of the value key.
-    """
-    net = _parse_network(request)
-    fingerprint = net.fingerprint()
-
-    def compute() -> AnalysisResult:
-        # A mode override scopes the whole computation: every analysis
-        # kernel under this op (including pooled workers, which inherit
-        # the mode through the chunk payload) runs in the requested mode.
-        if request.mode is None:
-            return _COMPUTE[request.op](request, net, fingerprint, workers)
-        with analysis_mode_set(request.mode):
-            return _COMPUTE[request.op](request, net, fingerprint, workers)
-
-    if cache is None:
-        return compute(), False
-    key = request.cache_key(fingerprint)
-    hit, result = cache.get_or_compute(key, compute)
-    return result, hit
-
-
-def execute(
-    request: AnalysisRequest,
-    cache: Optional[ResultCache] = None,
+    net: Network,
+    fingerprint: str,
     workers: int = 1,
 ) -> AnalysisResult:
+    """Answer ``request`` for its :func:`resolve`-d network.
+
+    Module-level, so the daemon's process pool can run it on the parsed
+    request.  ``workers`` spreads a large sweep grid over the batch
+    process pool; it is an execution detail, never part of the value
+    key.
+    """
+    # A mode override scopes the whole computation: every analysis
+    # kernel under this op (including pooled workers, which inherit
+    # the mode through the chunk payload) runs in the requested mode.
+    if request.mode is None:
+        return _COMPUTE[request.op](request, net, fingerprint, workers)
+    with analysis_mode_set(request.mode):
+        return _COMPUTE[request.op](request, net, fingerprint, workers)
+
+
+def execute(request: AnalysisRequest, workers: int = 1) -> AnalysisResult:
     """The one typed entrypoint: every transport routes through here."""
-    result, _ = execute_cached(request, cache=cache, workers=workers)
-    return result
+    return compute(request, *resolve(request), workers=workers)
 
 
 def execute_request_doc(doc: Dict[str, Any], workers: int = 1) -> Dict[str, Any]:
-    """Dict-in/dict-out :func:`execute` — module-level and picklable, so
-    the service's process-pool workers can run it directly.  Caching
-    stays in the caller's process (the pool must compute, not consult a
-    worker-local cache that would miss forever)."""
+    """Dict-in/dict-out :func:`execute`: the offline reference answer a
+    transport's reply must equal."""
     return execute(AnalysisRequest.from_dict(doc), workers=workers).to_dict()
 
 
@@ -627,7 +592,6 @@ def analyse_network(
     policy: str = "dm",
     ttr: Optional[int] = None,
     refined: bool = False,
-    cache: Optional[ResultCache] = None,
     mode: Optional[str] = None,
 ) -> AnalysisResult:
     """Typed form of the classic ``ttr.analyse`` call (which remains as
@@ -635,7 +599,6 @@ def analyse_network(
     return execute(
         AnalysisRequest(op="analyse", network=_network_doc(network),
                         policy=policy, ttr=ttr, refined=refined, mode=mode),
-        cache=cache,
     )
 
 
@@ -645,7 +608,6 @@ def sweep_network(
     sweep_values: Tuple[float, ...] = (),
     policies: Tuple[str, ...] = POLICIES,
     ttr: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     workers: int = 1,
     mode: Optional[str] = None,
 ) -> AnalysisResult:
@@ -655,7 +617,6 @@ def sweep_network(
                         policies=tuple(policies), ttr=ttr,
                         sweep_param=sweep_param,
                         sweep_values=tuple(sweep_values), mode=mode),
-        cache=cache,
         workers=workers,
     )
 
@@ -667,7 +628,6 @@ def monitor_check(
     ttr: Optional[int] = None,
     refined: bool = False,
     stats_after: int = 0,
-    cache: Optional[ResultCache] = None,
 ) -> AnalysisResult:
     """Does this recorded frame log (a ``profibus-rt/trace/v1``
     document) respect the analytic bounds?  The payload carries the full
@@ -676,7 +636,6 @@ def monitor_check(
         AnalysisRequest(op="monitor", network=_network_doc(network),
                         policy=policy, ttr=ttr, refined=refined,
                         trace=trace, stats_after=stats_after),
-        cache=cache,
     )
 
 
@@ -687,7 +646,6 @@ def admission_check(
     policy: str = "dm",
     ttr: Optional[int] = None,
     refined: bool = False,
-    cache: Optional[ResultCache] = None,
 ) -> AnalysisResult:
     """Can ``stream`` join the master at ``master`` without breaking the
     existing guarantees — and how much headroom is left if it does?"""
@@ -695,5 +653,4 @@ def admission_check(
         AnalysisRequest(op="admission", network=_network_doc(network),
                         policy=policy, ttr=ttr, refined=refined,
                         admission_master=master, admission_stream=stream),
-        cache=cache,
     )

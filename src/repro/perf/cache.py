@@ -26,21 +26,22 @@ Properties:
 * **Counted.**  ``hits`` / ``misses`` / ``evictions`` counters and a
   :meth:`snapshot` dict — surfaced verbatim in the service's session
   statistics, asserted by the service tests.
-* **Thread-safe.**  One lock around the ordered dict: the asyncio server
-  runs computations on executor threads, and sync clients embed the
-  cache in multi-threaded scripts.
+* **Thread-safe.**  One lock around the ordered dict, so the cache may
+  be shared by threads.
 
+Its one owner is the analysis daemon (:mod:`repro.service.server`),
+which keys it by :meth:`repro.api.AnalysisRequest.cache_key`.
 Benchmarks and differential oracles (bench, fuzz, corpus check) never
 consult a ``ResultCache`` — their whole point is recomputation — so the
-honesty argument from PERF.md §2 is preserved: caching is opt-in at the
-:mod:`repro.api` boundary, not ambient in the analysis layer.
+honesty argument from PERF.md §2 is preserved: caching lives in the
+daemon, not ambient in the analysis layer.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Tuple
 
 DEFAULT_CAPACITY = 4096
 
@@ -84,21 +85,6 @@ class ResultCache:
             if len(self._data) > self.capacity:
                 self._data.popitem(last=False)
                 self.evictions += 1
-
-    def get_or_compute(self, key: Hashable,
-                       compute: Callable[[], Any]) -> Tuple[bool, Any]:
-        """``(hit, value)``; on a miss, ``compute()`` runs *outside* the
-        lock (analyses take milliseconds to seconds — holding the lock
-        would serialise every concurrent client on one computation) and
-        the result is stored.  Two racing misses on the same key both
-        compute; results are deterministic, so last-write-wins is safe.
-        """
-        hit, value = self.get(key)
-        if hit:
-            return True, value
-        value = compute()
-        self.put(key, value)
-        return False, value
 
     def clear(self) -> None:
         """Drop entries; counters survive (they describe the session)."""

@@ -21,14 +21,21 @@ format mirrors the object model one-to-one::
     }
 
 Unknown keys raise immediately (typo protection — a silently-ignored
-``"dealine"`` would make an unschedulable plant look fine).
+``"dealine"`` would make an unschedulable plant look fine).  Values are
+typed like the ``trace/v1`` contract: bit times, counts and addresses
+are integers (never ``true``/``false``), flags are booleans, names are
+strings — each as the model dataclass declares it.  Models built in
+Python are not checked, so the generic path keeps accepting any
+``Number``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import numbers
 from pathlib import Path
 from typing import Any, Dict, Union
 
@@ -42,15 +49,56 @@ class ScenarioFormatError(ValueError):
     """Raised for malformed scenario documents."""
 
 
-def _check_keys(obj: Dict[str, Any], allowed, where: str) -> None:
+def is_int(value) -> bool:
+    """An integer that is not a ``bool`` (``True`` is an ``int`` in
+    Python, but never a bit time in a document)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+#: Document check per scalar field annotation of the model dataclasses.
+_SCALAR_CHECKS = {
+    "int": (is_int, "an integer"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _scalar_fields(cls) -> Dict[str, tuple]:
+    """Field name → ``(check, what, nullable)`` for every field of the
+    model ``cls`` declared ``int``/``bool``/``str`` (or ``Optional`` of
+    one); nested models and tuples are checked by their own parsers."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        kind = f.type
+        nullable = kind.startswith("Optional[")
+        if nullable:
+            kind = kind[len("Optional["):-1]
+        if kind in _SCALAR_CHECKS:
+            out[f.name] = (*_SCALAR_CHECKS[kind], nullable)
+    return out
+
+
+def _check(obj: Dict[str, Any], cls, where: str, nested=()) -> None:
+    """``obj`` is a JSON object holding only the scalar fields of the
+    model ``cls``, each of its declared type, and the ``nested``
+    sub-document keys."""
     if not isinstance(obj, dict):
         raise ScenarioFormatError(
             f"{where} must be a JSON object, got {type(obj).__name__}")
-    unknown = set(obj) - set(allowed)
+    scalars = _scalar_fields(cls)
+    allowed = {*scalars, *nested}
+    unknown = set(obj) - allowed
     if unknown:
         raise ScenarioFormatError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
         )
+    for key, (check, what, nullable) in scalars.items():
+        if key in obj:
+            value = obj[key]
+            if not (check(value) or (nullable and value is None)):
+                raise ScenarioFormatError(
+                    f"{where}: {key!r} must be {what}, got {value!r}")
 
 
 def _list(obj: Dict[str, Any], key: str, where: str) -> list:
@@ -61,23 +109,19 @@ def _list(obj: Dict[str, Any], key: str, where: str) -> list:
 
 
 def _phy_from(obj: Dict[str, Any]) -> PhyParameters:
-    fields = {f.name for f in dataclasses.fields(PhyParameters)}
-    _check_keys(obj, fields, "phy")
+    _check(obj, PhyParameters, "phy")
     return PhyParameters(**obj)
 
 
 def _cycle_from(obj: Dict[str, Any]) -> MessageCycleSpec:
-    fields = {f.name for f in dataclasses.fields(MessageCycleSpec)}
-    _check_keys(obj, fields, "cycle")
+    _check(obj, MessageCycleSpec, "cycle")
     return MessageCycleSpec(**obj)
 
 
 def _stream_from(obj: Dict[str, Any]) -> MessageStream:
-    allowed = {"name", "T", "D", "J", "high_priority", "cycle", "C_bits"}
     name = obj.get("name", "?") if isinstance(obj, dict) else "?"
-    _check_keys(obj, allowed, f"stream {name!r}")
-    kwargs = {k: obj[k] for k in ("name", "T", "D", "J", "high_priority",
-                                  "C_bits") if k in obj}
+    _check(obj, MessageStream, f"stream {name!r}", nested=("cycle",))
+    kwargs = {k: obj[k] for k in _scalar_fields(MessageStream) if k in obj}
     if "cycle" in obj:
         kwargs["spec"] = _cycle_from(obj["cycle"])
     try:
@@ -87,7 +131,7 @@ def _stream_from(obj: Dict[str, Any]) -> MessageStream:
 
 
 def _master_from(obj: Dict[str, Any]) -> Master:
-    _check_keys(obj, {"address", "name", "streams"}, "master")
+    _check(obj, Master, "master", nested=("streams",))
     return Master(
         address=obj["address"],
         name=obj.get("name", ""),
@@ -97,7 +141,7 @@ def _master_from(obj: Dict[str, Any]) -> Master:
 
 
 def _slave_from(obj: Dict[str, Any]) -> Slave:
-    _check_keys(obj, {"address", "name"}, "slave")
+    _check(obj, Slave, "slave")
     return Slave(address=obj["address"], name=obj.get("name", ""))
 
 
@@ -107,7 +151,8 @@ def network_from_dict(doc: Dict[str, Any]) -> Network:
     Every malformed document — wrong shapes, missing or mistyped
     fields, values the model constructors reject — raises
     :class:`ScenarioFormatError`."""
-    _check_keys(doc, {"phy", "ttr", "masters", "slaves"}, "scenario document")
+    _check(doc, Network, "scenario document",
+           nested=("phy", "masters", "slaves"))
     if "masters" not in doc:
         raise ScenarioFormatError("scenario needs a 'masters' list")
     try:

@@ -115,8 +115,9 @@ def _scale_deadlines(network: Network, factor: float) -> Network:
         for s in m.streams:
             # Round like _rescale_network does — truncation shifted E5
             # acceptance curves by an off-by-one deadline tightening on
-            # fine factor grids.
-            d = max(1, min(s.T, int(round(s.D * factor))))
+            # fine factor grids.  Clamp to T before rounding: a huge
+            # factor overflows D * factor to inf, which cannot round.
+            d = max(1, int(round(min(s.T, s.D * factor))))
             streams.append(s.with_deadline(d))
         masters.append(m.with_streams(streams))
     return Network(masters=tuple(masters), slaves=network.slaves,

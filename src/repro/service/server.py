@@ -14,16 +14,18 @@ One :class:`AnalysisServer` owns **one** value-keyed
 connected client is multiplexed over both.  A request is served in
 three steps:
 
-1. the envelope is parsed and the api request's **value key** computed
-   (canonical network fingerprint + analysis coordinates) — cheap, on
-   the event loop;
+1. the envelope is parsed, the request's network resolved once
+   (:func:`repro.api.resolve`: parse + canonical fingerprint) and its
+   **value key** computed (:meth:`repro.api.AnalysisRequest.cache_key`)
+   — cheap, on the event loop;
 2. the shared cache is consulted; a hit returns the stored result
    document without touching the analysis layer at all — this is what
    makes repeated and near-duplicate traffic cheap;
-3. a miss computes through :func:`repro.api.execute_request_doc` on the
-   worker pool (a shared :class:`~concurrent.futures.ProcessPoolExecutor`
-   when ``workers > 1``, the loop's thread executor otherwise, so the
-   accept loop stays responsive either way), then populates the cache.
+3. a miss runs :func:`repro.api.compute` on the already parsed request
+   and network on the worker pool (a shared
+   :class:`~concurrent.futures.ProcessPoolExecutor` when ``workers > 1``,
+   the loop's thread executor otherwise, so the accept loop stays
+   responsive either way), then populates the cache.
 
 Shutdown is graceful by construction: each connection handler races its
 next read against the server-wide stop event, so a ``shutdown`` request
@@ -216,14 +218,15 @@ class AnalysisServer:
         # Value key first (cheap): the fingerprint normalises the
         # document, so two clients spelling the same plant differently
         # still share one cache slot.
-        net = api._parse_network(request)
-        key = request.cache_key(net.fingerprint())
+        net, fingerprint = api.resolve(request)
+        key = request.cache_key(fingerprint)
         hit, result_doc = self.cache.get(key)
         if not hit:
             loop = asyncio.get_event_loop()
-            result_doc = await loop.run_in_executor(
-                self._pool, api.execute_request_doc, request.to_dict()
+            result = await loop.run_in_executor(
+                self._pool, api.compute, request, net, fingerprint
             )
+            result_doc = result.to_dict()
             self.cache.put(key, result_doc)
         session.note_ok(cached=hit, counts_cache=True)
         elapsed_ms = (time.perf_counter() - start) * 1000.0

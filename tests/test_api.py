@@ -1,5 +1,5 @@
-"""Tests for the unified ``repro.api`` facade and the shared result
-cache under it."""
+"""Tests for the unified ``repro.api`` facade, its value key and the
+result cache the daemon keeps under it."""
 
 import json
 import sys
@@ -69,6 +69,10 @@ def _network_doc(edit):
     return _request_doc(network=net)
 
 
+def _stream0(net):
+    return net["masters"][0]["streams"][0]
+
+
 _ADMIT = {"op": "admission",
           "admission_stream": {"name": "new", "T": 120_000, "C_bits": 500}}
 _TTR_SWEEP = {"op": "sweep", "sweep_param": "ttr"}
@@ -88,6 +92,9 @@ MALFORMED = {
     "sweep-value-null": _request_doc(**_TTR_SWEEP, sweep_values=[None]),
     "sweep-value-infinite": _request_doc(
         **_TTR_SWEEP, sweep_values=json.loads("[Infinity]")),
+    # once analysed, and reported, as 500000
+    "sweep-baud-fractional": _request_doc(
+        op="sweep", sweep_param="baud", sweep_values=[500000.9]),
     "masters-of-ints": _network_doc(lambda n: n.update(masters=[1])),
     "master-address-string": _network_doc(
         lambda n: n["masters"][0].update(address="x")),
@@ -101,6 +108,25 @@ MALFORMED = {
         lambda n: n["masters"][0].update(address=200)),
     "network-ttr-negative": _network_doc(lambda n: n.update(ttr=-5)),
     "no-masters": _network_doc(lambda n: n.update(masters=[])),
+    # wrongly typed network values: a bare TypeError from the analysis,
+    # or float arithmetic in the exact-integer result ("tsl": 100.5
+    # gave "tcycle": 36207.0)
+    "cycle-req-payload-string": _network_doc(
+        lambda n: _stream0(n)["cycle"].update(req_payload="x")),
+    "cycle-max-retry-string": _network_doc(
+        lambda n: _stream0(n)["cycle"].update(max_retry="2")),
+    "cycle-short-ack-string": _network_doc(
+        lambda n: _stream0(n)["cycle"].update(short_ack="yes")),
+    "phy-tsl-float": _network_doc(lambda n: n["phy"].update(tsl=100.5)),
+    "phy-baud-rate-float": _network_doc(
+        lambda n: n["phy"].update(baud_rate=500000.5)),
+    "network-ttr-float": _network_doc(lambda n: n.update(ttr=30000.5)),
+    "stream-T-float": _network_doc(lambda n: _stream0(n).update(T=75000.5)),
+    "stream-T-bool": _network_doc(lambda n: _stream0(n).update(T=True)),
+    "stream-name-int": _network_doc(lambda n: _stream0(n).update(name=5)),
+    "master-address-float": _network_doc(
+        lambda n: n["masters"][0].update(address=1.0)),
+    "master-name-int": _network_doc(lambda n: n["masters"][0].update(name=5)),
 }
 
 
@@ -120,6 +146,33 @@ class TestMalformedRequests:
         result = api.execute_request_doc(_request_doc(
             **_ADMIT, admission_master=9))
         assert result["payload"]["master"] == 9
+
+    def test_python_built_models_stay_polymorphic(self):
+        # the typed contract is the document's; the generic path still
+        # takes models built in Python with any Number
+        from fractions import Fraction
+
+        from repro.profibus import Master, MessageStream, Network
+
+        net = Network(masters=(Master(address=1, streams=(
+            MessageStream("s", T=Fraction(90000), C_bits=700),)),),
+            ttr=5000)
+        assert analyse(net, "dm").schedulable
+
+
+class TestSweepValues:
+    def test_huge_deadline_scale_clamps_to_periods(self):
+        # 1e308 once overflowed while rounding D * factor before the
+        # clamp to [1, T]; every factor >= 10 sets D = T on this plant
+        rows = {
+            factor: api.execute_request_doc(_request_doc(
+                op="sweep", sweep_param="deadline-scale",
+                sweep_values=[factor]))["payload"]["rows"]
+            for factor in (10, 1e308)
+        }
+        for huge, ten in zip(rows[1e308], rows[10]):
+            assert huge["value"] == 1e308
+            assert dict(huge, value=10) == ten
 
 
 class TestTransportForms:
@@ -228,13 +281,16 @@ class TestAdmission:
 
 
 class TestCaching:
+    """The daemon's cache key: the fingerprint :func:`api.resolve`
+    returns plus the request's analysis coordinates."""
+
+    @staticmethod
+    def _key(request):
+        _, fingerprint = api.resolve(request)
+        return request.cache_key(fingerprint)
+
     def test_identical_requests_hit(self):
-        cache = ResultCache()
-        result1, hit1 = api.execute_cached(_analyse_request(), cache=cache)
-        result2, hit2 = api.execute_cached(_analyse_request(), cache=cache)
-        assert (hit1, hit2) == (False, True)
-        assert result1 == result2
-        assert cache.snapshot()["hits"] == 1
+        assert self._key(_analyse_request()) == self._key(_analyse_request())
 
     def test_value_equal_spellings_collide(self):
         # same content, different document spelling (key order)
@@ -242,34 +298,24 @@ class TestCaching:
         doc_b = json.loads(json.dumps(doc_a))
         doc_b["masters"] = [dict(reversed(list(m.items())))
                             for m in doc_b["masters"]]
-        cache = ResultCache()
-        _, miss = api.execute_cached(
-            AnalysisRequest(op="analyse", network=doc_a), cache=cache)
-        _, hit = api.execute_cached(
-            AnalysisRequest(op="analyse", network=doc_b), cache=cache)
-        assert (miss, hit) == (False, True)
+        assert (self._key(AnalysisRequest(op="analyse", network=doc_a))
+                == self._key(AnalysisRequest(op="analyse", network=doc_b)))
 
     def test_different_coordinates_miss(self):
-        cache = ResultCache()
-        api.execute_cached(_analyse_request(), cache=cache)
-        _, hit_policy = api.execute_cached(_analyse_request(policy="edf"),
-                                           cache=cache)
-        _, hit_ttr = api.execute_cached(_analyse_request(ttr=5000),
-                                        cache=cache)
-        assert hit_policy is False and hit_ttr is False
+        keys = {self._key(r) for r in (_analyse_request(),
+                                       _analyse_request(policy="edf"),
+                                       _analyse_request(ttr=5000))}
+        assert len(keys) == 3
 
-    def test_no_cache_recomputes(self):
-        result1, hit1 = api.execute_cached(_analyse_request())
-        result2, hit2 = api.execute_cached(_analyse_request())
-        assert (hit1, hit2) == (False, False)
-        assert result1 == result2
 
-    def test_cached_and_fresh_results_identical(self):
-        cache = ResultCache()
-        fresh = api.execute(_analyse_request())
-        api.execute(_analyse_request(), cache=cache)
-        cached = api.execute(_analyse_request(), cache=cache)
-        assert cached.to_dict() == fresh.to_dict()
+class TestResolveCompute:
+    def test_execute_is_resolve_then_compute(self):
+        request = _analyse_request(ttr=5000)
+        net, fingerprint = api.resolve(request)
+        assert net.ttr == 5000
+        assert fingerprint == net.fingerprint()
+        assert api.compute(request, net, fingerprint) \
+            == api.execute(request)
 
 
 class TestResultCache:
@@ -284,15 +330,6 @@ class TestResultCache:
         snap = cache.snapshot()
         assert snap["evictions"] == 1
         assert snap["size"] == 2 == len(cache)
-
-    def test_get_or_compute(self):
-        cache = ResultCache()
-        calls = []
-        hit, value = cache.get_or_compute("k", lambda: calls.append(1) or 42)
-        assert (hit, value) == (False, 42)
-        hit, value = cache.get_or_compute("k", lambda: calls.append(1) or 43)
-        assert (hit, value) == (True, 42)
-        assert len(calls) == 1
 
     def test_clear_keeps_counters(self):
         cache = ResultCache()

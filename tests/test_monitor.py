@@ -420,17 +420,6 @@ class TestMonitorApi:
         assert again == req
         assert again.cache_key("fp") == req.cache_key("fp")
 
-    def test_value_keyed_cache_hits(self, single_master):
-        from repro.perf.cache import ResultCache
-
-        _, tracer = _traced_validate(single_master, "dm")
-        req = self._request_doc(single_master, tracer)
-        cache = ResultCache()
-        r1, h1 = api.execute_cached(req, cache=cache)
-        r2, h2 = api.execute_cached(req, cache=cache)
-        assert (h1, h2) == (False, True)
-        assert r1 == r2
-
     def test_different_traces_do_not_collide(self, single_master):
         _, t1 = _traced_validate(single_master, "dm")
         _, t2 = _traced_validate(single_master, "dm", horizon=50_000)

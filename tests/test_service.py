@@ -214,6 +214,29 @@ class TestConcurrentClients:
         for s in per_client.values():
             assert s["errors"] == 0
 
+    def test_one_parse_per_request(self, monkeypatch):
+        """The daemon parses a request's network once, on a miss as on
+        a hit: the executor computes on the already parsed request."""
+        from repro.profibus import serialization
+
+        parses = []
+        real_parse = serialization.network_from_dict
+
+        def counting_parse(doc):
+            parses.append(1)
+            return real_parse(doc)
+
+        monkeypatch.setattr(serialization, "network_from_dict",
+                            counting_parse)
+        with ServerThread(workers=1) as srv:
+            with srv.client() as c:
+                assert c.analyse(_base_doc()).cached is False
+                assert len(parses) == 1
+                assert c.analyse(_base_doc()).cached is True
+                assert len(parses) == 2
+                assert c.analyse(_variant_doc()).cached is False
+                assert len(parses) == 3
+
     def test_value_equal_spelling_shares_cache_across_clients(self):
         base = _base_doc()
         respelled = json.loads(json.dumps(base))
@@ -227,6 +250,44 @@ class TestConcurrentClients:
             with srv.client() as c2:
                 reply = c2.analyse(respelled)  # ...same value key
         assert reply.cached is True
+
+
+class TestProcessPool:
+    def test_pool_serves_every_op_like_offline(self):
+        """With ``workers=2`` the parsed request, network and fingerprint
+        are pickled to a pool process; every op's reply must still equal
+        the offline :func:`api.execute` answer."""
+        from repro.monitor.trace_io import trace_doc
+        from repro.sim import BusTrace, TokenBusConfig, validate_network
+
+        net = factory_cell_network()
+        tracer = BusTrace(max_events=100_000)
+        validate_network(net, "dm", 100_000,
+                         config=TokenBusConfig(policy="ap-dm", tracer=tracer))
+        network = network_to_dict(net)
+        requests = [
+            api.AnalysisRequest(op="analyse", network=network),
+            api.AnalysisRequest(op="analyse", network=network, policy="edf",
+                                ttr=50_000, mode="generic"),
+            api.AnalysisRequest(op="sweep", network=network,
+                                sweep_param="ttr",
+                                sweep_values=(3000, 30_000)),
+            api.AnalysisRequest(op="admission", network=network,
+                                admission_master=9,
+                                admission_stream={"name": "new",
+                                                  "T": 120_000,
+                                                  "C_bits": 500}),
+            api.AnalysisRequest(op="monitor", network=network, policy="dm",
+                                trace=trace_doc(tracer, horizon=100_000)),
+        ]
+        offline = [api.execute(r).to_dict() for r in requests]
+        with ServerThread(workers=2) as srv:
+            with srv.client() as c:
+                replies = [c.request(r.op, r.to_dict()) for r in requests]
+                stats = c.stats()
+        assert [r.result for r in replies] == offline
+        assert not any(r.cached for r in replies)
+        assert stats["server"]["workers"] == 2
 
 
 class TestConcurrentModes:
@@ -310,14 +371,19 @@ class TestErrors:
 
     def test_malformed_network_values_are_bad_request(self):
         # a well-shaped document the model constructors reject (two
-        # stations on one address, a string TTR) is the caller's fault,
-        # not an internal error
+        # stations on one address, a string TTR, a string payload size
+        # that once escaped as a TypeError) is the caller's fault, not
+        # an internal error
         net = network_to_dict(factory_cell_network())
         net["masters"][1]["address"] = net["masters"][0]["address"]
+        mistyped = network_to_dict(factory_cell_network())
+        mistyped["masters"][0]["streams"][0]["cycle"]["req_payload"] = "x"
         docs = [{"schema": api.API_SCHEMA, "op": "analyse", "network": net},
                 {"schema": api.API_SCHEMA, "op": "analyse",
                  "network": network_to_dict(factory_cell_network()),
-                 "ttr": "30000"}]
+                 "ttr": "30000"},
+                {"schema": api.API_SCHEMA, "op": "analyse",
+                 "network": mistyped, "ttr": 30_000}]
         with ServerThread() as srv:
             with srv.client() as c:
                 for doc in docs:
@@ -373,19 +439,20 @@ class TestShutdown:
     def test_shutdown_completes_in_flight_request(self, monkeypatch):
         """A request already computing when ``shutdown`` arrives still
         gets its (correct) response before the connection closes."""
+        base = _base_doc()
+        # the offline answer runs through api.compute too: take it before
+        # the seam below makes compute wait
+        offline = api.execute(api.AnalysisRequest.from_dict(base)).to_dict()
         compute_started = threading.Event()
         release = threading.Event()
-        real_execute = api.execute_request_doc
+        real_compute = api.compute
 
-        def slow_execute(doc, workers=1):
+        def slow_compute(request, net, fingerprint, workers=1):
             compute_started.set()
             assert release.wait(timeout=20), "test never released compute"
-            return real_execute(doc, workers=workers)
+            return real_compute(request, net, fingerprint, workers=workers)
 
-        monkeypatch.setattr(api, "execute_request_doc", slow_execute)
-
-        base = _base_doc()
-        offline = api.execute(api.AnalysisRequest.from_dict(base)).to_dict()
+        monkeypatch.setattr(api, "compute", slow_compute)
         reply_box = {}
 
         with ServerThread() as srv:
